@@ -40,7 +40,6 @@ __all__ = [
     "dropout",
     "normalize_rows",
     "row_dot",
-    "cosine_sim",
     "spmm",
     "finite_diff_check",
 ]
@@ -363,11 +362,6 @@ def normalize_rows(x, eps=1e-12):
 def row_dot(a, b):
     """Row-wise inner products, shape (rows, 1)."""
     return tsum(mul(a, b), axis=1)
-
-
-def cosine_sim(a, b):
-    """Row-wise cosine similarity, shape (rows, 1)."""
-    return row_dot(normalize_rows(a), normalize_rows(b))
 
 
 class SparseMatrix:

@@ -11,13 +11,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
 from .config import TrainConfig, load_config_file, resolve_config
 from .data import (
-    dataset_stats,
+    FeatureMatrix,
     load_features,
     load_interactions,
     load_prepared,
@@ -25,7 +25,8 @@ from .data import (
     save_features,
     save_prepared,
 )
-from .itemgraph import (
+# build_knn_graph and fuse_graphs are unused here; bench/spans.py wraps them by name.
+from .itemgraph import (  # noqa: F401
     build_knn_graph,
     corrupt_graph,
     fuse_graphs,
@@ -34,10 +35,10 @@ from .itemgraph import (
     tps_prune,
 )
 from .metrics import evaluate, write_metrics_csv, write_metrics_json
-from .model import ModelConfig, MultimodalRecommender, build_propagation_matrix
+from .model import build_propagation_matrix
 from .optim import load_checkpoint
 from .synth import make_clustered_dataset
-from .trainer import VARIANTS, ablate, fit, rng_streams
+from .trainer import VARIANTS, ablate, build_item_graph, build_model, data_hash, fit
 
 
 def _log(**kv):
@@ -61,12 +62,8 @@ def _collect_flag_overrides(args):
 
 
 def _resolve(args):
-    file_train = {}
-    file_paths = {}
-    if getattr(args, "config", None):
-        file_train, file_paths = load_config_file(args.config)
-    cfg = resolve_config(file_train, _collect_flag_overrides(args))
-    return cfg, file_paths
+    file_train = load_config_file(args.config) if getattr(args, "config", None) else {}
+    return resolve_config(file_train, _collect_flag_overrides(args))
 
 
 def cmd_synth(args):
@@ -81,11 +78,19 @@ def cmd_synth(args):
     with open(inter, "w", encoding="utf-8") as fh:
         for u, i in data.table.edges:
             fh.write(f"{data.table.user_tokens[u]} {data.table.item_tokens[i]}\n")
-    save_features(os.path.join(args.out, "features_visual.tmf"), data.features_visual)
-    save_features(os.path.join(args.out, "features_textual.tmf"), data.features_textual)
+    # `prepare` numbers items by first appearance in the interaction file
+    # and reads feature row k as item k, so rows go out in that order;
+    # items no user touched get no id and are left out.
+    seen, first = np.unique(data.table.edges[:, 1], return_index=True)
+    order = seen[np.argsort(first)]
+    for features in (data.features_visual, data.features_textual):
+        save_features(
+            os.path.join(args.out, f"features_{features.modality}.tmf"),
+            FeatureMatrix(features.modality, features.values[order]),
+        )
     np.savetxt(
         os.path.join(args.out, "item_clusters.txt"),
-        data.item_clusters,
+        data.item_clusters[order],
         fmt="%d",
     )
     _log(event="synth", users=args.users, items=args.items, out=args.out)
@@ -117,15 +122,9 @@ def cmd_prepare(args):
 
 
 def cmd_build_graph(args):
-    cfg, _ = _resolve(args)
-    table, fv, ft = load_prepared(args.prepared)
-    parts = []
-    if args.modality in ("both", "visual"):
-        parts.append(build_knn_graph(fv, cfg.knn_k, binarize=cfg.binarize_knn))
-    if args.modality in ("both", "textual"):
-        parts.append(build_knn_graph(ft, cfg.knn_k, binarize=cfg.binarize_knn))
-    graph = parts[0] if len(parts) == 1 else fuse_graphs(parts[0], parts[1], cfg.visual_weight)
-    graph.validate()
+    cfg = _resolve(args)
+    _, fv, ft = load_prepared(args.prepared)
+    graph, _, _ = build_item_graph(replace(cfg, prune_mode="none"), fv, ft)
     save_graph(args.out, graph, binary=args.binary)
     _log(event="build_graph", nodes=graph.num_nodes, edges=graph.nnz, out=args.out)
     return 0
@@ -134,7 +133,6 @@ def cmd_build_graph(args):
 def cmd_prune(args):
     graph = load_graph(_require(args.graph, "graph file", "build-graph"))
     pruned, report = tps_prune(graph, args.k)
-    pruned.validate()
     save_graph(args.out, pruned, binary=args.binary)
     if args.report:
         report.to_csv(args.report)
@@ -151,7 +149,6 @@ def cmd_prune(args):
 def cmd_corrupt(args):
     graph = load_graph(_require(args.graph, "graph file", "build-graph"))
     noisy = corrupt_graph(graph, args.eps, args.seed)
-    noisy.validate()
     save_graph(args.out, noisy, binary=args.binary)
     changed = int((graph.indices != noisy.indices).sum())
     _log(event="corrupt", eps=args.eps, rewired=changed, edges=graph.nnz, out=args.out)
@@ -159,7 +156,7 @@ def cmd_corrupt(args):
 
 
 def cmd_train(args):
-    cfg, _ = _resolve(args)
+    cfg = _resolve(args)
     table, fv, ft = load_prepared(args.prepared)
     graph = None
     if cfg.na_weight > 0:
@@ -169,14 +166,7 @@ def cmd_train(args):
                 "`toporec prune` first"
             )
         graph = load_graph(_require(args.graph, "graph file", "prune"))
-    manifest = fit(
-        cfg,
-        table,
-        fv if cfg.use_visual else None,
-        ft if cfg.use_textual else None,
-        na_graph=graph,
-        out_dir=args.out,
-    )
+    manifest = fit(cfg, table, fv, ft, na_graph=graph, out_dir=args.out)
     manifest.prepared_dir = os.path.abspath(args.prepared)
     manifest.graph_path = os.path.abspath(args.graph) if args.graph else ""
     manifest.save(args.out)
@@ -200,26 +190,22 @@ def cmd_evaluate(args):
     prepared = args.prepared or manifest.get("prepared_dir")
     if not prepared:
         raise ValueError("manifest has no prepared_dir; pass --prepared")
-    table, fv, ft = load_prepared(prepared)
     cfg_dict = dict(manifest["config"])
+    unknown = sorted(set(cfg_dict) - {f.name for f in fields(TrainConfig)})
+    if unknown:
+        raise ValueError(
+            f"{manifest_path}: config keys {unknown} are not settings of this "
+            "toporec version; retrain the run"
+        )
     cfg_dict["eval_topn"] = tuple(cfg_dict.get("eval_topn", (10, 20)))
     cfg = TrainConfig(**cfg_dict)
-    dtype = cfg.numpy_dtype()
-    model = MultimodalRecommender(
-        ModelConfig(
-            num_users=manifest["num_users"],
-            num_items=manifest["num_items"],
-            visual_dim=manifest["visual_dim"],
-            textual_dim=manifest["textual_dim"],
-            embed_dim=cfg.embed_dim,
-            hidden_dim=cfg.hidden_dim,
-            depth=cfg.depth,
-            gcn_layers=cfg.gcn_layers,
-            dropout=cfg.dropout,
-            dtype=dtype,
-        ),
-        rng_streams(cfg.seed)["init"],
-    )
+    table, fv, ft = load_prepared(prepared)
+    if data_hash(table) != manifest.get("data_hash"):
+        raise ValueError(
+            f"prepared directory {prepared} holds other interactions or splits than "
+            f"the run was trained on (data_hash differs from {manifest_path})"
+        )
+    model, features = build_model(cfg, table, {"visual": fv, "textual": ft})
     local_ckpt = os.path.join(args.run, "checkpoint.tmc")
     ckpt = _require(
         local_ckpt if os.path.exists(local_ckpt) else manifest.get("checkpoint_path", ""),
@@ -227,12 +213,7 @@ def cmd_evaluate(args):
         "train",
     )
     model.params.load_state(load_checkpoint(ckpt))
-    features = {}
-    if cfg.use_visual:
-        features["visual"] = fv.values.astype(dtype)
-    if cfg.use_textual:
-        features["textual"] = ft.values.astype(dtype)
-    s_ui, s_iu = build_propagation_matrix(table, dtype)
+    s_ui, s_iu = build_propagation_matrix(table, cfg.numpy_dtype())
     z_users, z_items = model.embeddings(features, s_ui, s_iu)
     metrics = evaluate(z_users, z_items, table, args.split, ns=cfg.eval_topn)
     out_base = args.out or os.path.join(args.run, f"metrics_{args.split}")
@@ -246,7 +227,7 @@ def cmd_evaluate(args):
 
 
 def cmd_ablate(args):
-    cfg, _ = _resolve(args)
+    cfg = _resolve(args)
     table, fv, ft = load_prepared(args.prepared)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     for v in variants:
@@ -291,7 +272,6 @@ def build_parser():
     p = sub.add_parser("build-graph", help="build (and fuse) modality kNN graphs")
     p.add_argument("--prepared", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--modality", choices=("both", "visual", "textual"), default="both")
     p.add_argument("--binary", action="store_true", help="write binary CSR instead of text")
     p.add_argument("--config")
     _add_train_flags(p)

@@ -19,7 +19,6 @@ __all__ = [
     "validate_config",
     "load_config_file",
     "resolve_config",
-    "PATH_KEYS",
 ]
 
 
@@ -47,7 +46,6 @@ class TrainConfig:
     gcn_layers: int = 2
     na_weight: float = 1.0
     temperature: float = 1.0
-    hop_order: int = 1
     l2_weight: float = 0.0
     dropout: float = 0.0
     visual_weight: float = 0.1
@@ -81,10 +79,6 @@ class TrainConfig:
 
 def validate_config(cfg):
     """Raise on unsupported settings; warn when off the search grids."""
-    if cfg.hop_order != 1:
-        raise ValueError(
-            f"hop_order={cfg.hop_order} is not supported; only direct neighbors (1) are"
-        )
     if cfg.temperature <= 0:
         raise ValueError(f"temperature must be positive, got {cfg.temperature}")
     if cfg.prune_mode not in PRUNE_MODES:
@@ -130,15 +124,6 @@ def validate_config(cfg):
     return cfg
 
 
-PATH_KEYS = (
-    "interactions",
-    "features_visual",
-    "features_textual",
-    "prepared_dir",
-    "graph",
-    "out_dir",
-)
-
 _FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
 
 
@@ -164,25 +149,19 @@ def _coerce(name, raw):
 
 
 def load_config_file(path):
-    """Read an INI config; returns (train overrides, path overrides)."""
+    """Read an INI config whose one section is [train]; returns its overrides."""
     parser = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)
     train = {}
-    paths = {}
     for section in parser.sections():
-        if section not in ("train", "paths"):
+        if section != "train":
             raise ValueError(f"{path}: unknown config section [{section}]")
         for key, value in parser.items(section):
-            if section == "train":
-                if key not in _FIELD_TYPES:
-                    raise ValueError(f"{path}: unknown config key {key!r} in [train]")
-                train[key] = _coerce(key, value)
-            else:
-                if key not in PATH_KEYS:
-                    raise ValueError(f"{path}: unknown config key {key!r} in [paths]")
-                paths[key] = value
-    return train, paths
+            if key not in _FIELD_TYPES:
+                raise ValueError(f"{path}: unknown config key {key!r} in [train]")
+            train[key] = _coerce(key, value)
+    return train
 
 
 def resolve_config(file_overrides=None, flag_overrides=None):

@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "SparseGraph",
-    "Neighborhood",
     "PruneReport",
     "build_knn_graph",
     "fuse_graphs",
@@ -147,23 +146,12 @@ def graphs_equal(a, b, tol=0.0):
     return bool(np.allclose(a.weights, b.weights, rtol=0, atol=tol))
 
 
-@dataclass
-class Neighborhood:
-    """A node together with its out-neighbors, kept sorted."""
-
-    node: int
-    members: np.ndarray
-
-    def __len__(self):
-        return len(self.members)
-
-
 def row_neighbors(graph, m):
-    """Closed out-neighborhood of m: the node itself plus its targets."""
+    """Closed out-neighborhood of m, sorted: the node itself plus its targets."""
     if not 0 <= m < graph.num_nodes:
         raise IndexError(f"node {m} outside graph of {graph.num_nodes} nodes")
     cols, _ = graph.row(m)
-    return Neighborhood(node=m, members=np.union1d(cols, np.array([m], dtype=np.int64)))
+    return np.union1d(cols, np.array([m], dtype=np.int64))
 
 
 def build_knn_graph(features, k, binarize=True):
@@ -251,8 +239,8 @@ def topological_similarity(graph, m, n, log_base=None):
     Natural log by default; log_base rescales (the induced ranking is
     invariant to the base).
     """
-    nm = row_neighbors(graph, m).members
-    nn = row_neighbors(graph, n).members
+    nm = row_neighbors(graph, m)
+    nn = row_neighbors(graph, n)
     overlap = np.intersect1d(nm, nn, assume_unique=True).size
     return _mutual_information(graph.num_nodes, len(nm), len(nn), overlap, log_base)
 
@@ -294,7 +282,7 @@ def tps_prune(graph, k, log_base=None):
     if k < 1:
         raise ValueError(f"prune k must be >= 1, got {k}")
     n = graph.num_nodes
-    hoods = [row_neighbors(graph, m).members for m in range(n)]
+    hoods = [row_neighbors(graph, m) for m in range(n)]
     rows = []
     kept = np.zeros(n, dtype=np.int64)
     dropped = np.zeros(n, dtype=np.int64)

@@ -33,7 +33,6 @@ __all__ = [
     "bpr_loss",
     "neighborhood_alignment_loss",
     "joint_loss",
-    "predict_scores",
     "eligible_anchor_items",
     "build_na_batch",
     "na_batch_from_items",
@@ -234,35 +233,16 @@ def neighborhood_alignment_loss(reps, anchor_rows, anchor_weights, temperature=1
     return ag.neg(ag.tmean(ag.sub(ag.log(numer), ag.log(denom))))
 
 
-def joint_loss(bpr, na, na_weight, l2_weight=0.0, store=None):
-    """BPR plus the weighted alignment term plus the L2 penalty value.
+def joint_loss(bpr, na, na_weight):
+    """BPR plus the weighted alignment term.
 
     With na_weight 0 the alignment term is dropped entirely, so no
-    gradient flows through it. The L2 term enters the reported value
-    here; its gradient is realized as decoupled weight decay in the
-    optimizer step.
+    gradient flows through it. L2 regularization is not part of the
+    loss: the optimizer step applies it as decoupled weight decay.
     """
     if na_weight != 0.0 and na is not None:
-        total = ag.add(bpr, ag.scale(na, na_weight))
-    else:
-        total = bpr
-    if l2_weight > 0.0 and store is not None:
-        total = ag.add_const(total, l2_weight * store.l2_norm_sq())
-    return total
-
-
-def predict_scores(z_users, z_items, user_rows=None, block_size=1024):
-    """Dense user-by-item inner products, computed in user blocks."""
-    z_users = np.asarray(z_users)
-    z_items = np.asarray(z_items)
-    if user_rows is None:
-        user_rows = np.arange(z_users.shape[0])
-    user_rows = np.asarray(user_rows, dtype=np.int64)
-    out = np.empty((len(user_rows), z_items.shape[0]), dtype=z_users.dtype)
-    for start in range(0, len(user_rows), block_size):
-        stop = min(start + block_size, len(user_rows))
-        out[start:stop] = z_users[user_rows[start:stop]] @ z_items.T
-    return out
+        return ag.add(bpr, ag.scale(na, na_weight))
+    return bpr
 
 
 def eligible_anchor_items(graph):

@@ -60,9 +60,6 @@ class ParamStore:
         for t in self._params.values():
             t.grad = None
 
-    def l2_norm_sq(self):
-        return float(sum((t.values.astype(np.float64) ** 2).sum() for t in self._params.values()))
-
     def step_count(self, name):
         return self._steps[name]
 

@@ -1,11 +1,11 @@
 """Joint training: BPR plus graph alignment, early stopping, variants.
 
 One epoch is ceil(train_edges / batch_size) sampled BPR batches. The
-model is validated on Recall@20 after every epoch (configurable
-stride), the best checkpoint is restored at the end, and training stops
-early after `patience` epochs without improvement. All randomness comes
-from named generator streams spawned off the run seed, so reruns with
-the same config are bit-identical.
+model is validated on Recall@20 every `eval_stride` epochs, the best
+checkpoint is restored at the end, and training stops early after
+`patience` validations (`patience * eval_stride` epochs) without
+improvement. All randomness comes from named generator streams spawned
+off the run seed, so reruns with the same config are bit-identical.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ __all__ = [
     "variant_config",
     "rng_streams",
     "build_item_graph",
+    "build_model",
+    "data_hash",
     "fit",
     "run_variant",
     "ablate",
@@ -162,6 +164,11 @@ def _sha256(*arrays):
     return digest.hexdigest()
 
 
+def data_hash(table):
+    """SHA-256 of a table's interactions and their split roles."""
+    return _sha256(table.edges, table.roles)
+
+
 def _graph_hash(graph):
     if graph is None:
         return ""
@@ -185,6 +192,38 @@ def _dump_bad_batch(out_dir, epoch, step, batch, na_ids):
     return path
 
 
+def build_model(cfg, table, features):
+    """The untrained model for this config and data, plus its inputs.
+
+    features maps modality name to a FeatureMatrix or array; only the
+    modalities the config enables are used. Returns (model, feature
+    dict cast to the config's dtype). Initial weights come from the
+    seed's "init" stream, so a model rebuilt from the same config has
+    the same parameter layout and starting values.
+    """
+    dtype = cfg.numpy_dtype()
+    enabled = [tag for tag, use in (("visual", cfg.use_visual), ("textual", cfg.use_textual)) if use]
+    arrays = {
+        tag: np.asarray(getattr(features[tag], "values", features[tag]), dtype=dtype)
+        for tag in enabled
+    }
+    model = MultimodalRecommender(
+        ModelConfig(
+            num_users=table.num_users,
+            num_items=table.num_items,
+            **{f"{tag}_dim": arr.shape[1] for tag, arr in arrays.items()},
+            embed_dim=cfg.embed_dim,
+            hidden_dim=cfg.hidden_dim,
+            depth=cfg.depth,
+            gcn_layers=cfg.gcn_layers,
+            dropout=cfg.dropout,
+            dtype=dtype,
+        ),
+        rng_streams(cfg.seed)["init"],
+    )
+    return model, arrays
+
+
 def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=None):
     """Train one model; returns the RunManifest (with .model attached).
 
@@ -197,31 +236,8 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
         raise ValueError("na_weight > 0 requires an item graph; build and prune one first")
 
     streams = rng_streams(cfg.seed)
-    features = {}
-    visual_dim = textual_dim = 0
-    if cfg.use_visual:
-        arr = features_visual.values if hasattr(features_visual, "values") else features_visual
-        features["visual"] = np.asarray(arr, dtype=dtype)
-        visual_dim = features["visual"].shape[1]
-    if cfg.use_textual:
-        arr = features_textual.values if hasattr(features_textual, "values") else features_textual
-        features["textual"] = np.asarray(arr, dtype=dtype)
-        textual_dim = features["textual"].shape[1]
-
-    model = MultimodalRecommender(
-        ModelConfig(
-            num_users=table.num_users,
-            num_items=table.num_items,
-            visual_dim=visual_dim,
-            textual_dim=textual_dim,
-            embed_dim=cfg.embed_dim,
-            hidden_dim=cfg.hidden_dim,
-            depth=cfg.depth,
-            gcn_layers=cfg.gcn_layers,
-            dropout=cfg.dropout,
-            dtype=dtype,
-        ),
-        streams["init"],
+    model, features = build_model(
+        cfg, table, {"visual": features_visual, "textual": features_textual}
     )
     s_ui, s_iu = build_propagation_matrix(table, dtype)
 
@@ -291,7 +307,7 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
                     l_na = terms[0]
                     for extra in terms[1:]:
                         l_na = ag.add(l_na, extra)
-            loss = joint_loss(l_bpr, l_na, cfg.na_weight, cfg.l2_weight, model.params)
+            loss = joint_loss(l_bpr, l_na, cfg.na_weight)
             if not np.isfinite(loss.values).all():
                 dump = _dump_bad_batch(out_dir, epoch, step, batch, na_ids)
                 raise TrainingAborted(
@@ -348,15 +364,15 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
     manifest = RunManifest(
         config=cfg.as_dict(),
         seed=cfg.seed,
-        data_hash=_sha256(table.edges, table.roles),
+        data_hash=data_hash(table),
         feature_hashes={
             tag: _sha256(arr) for tag, arr in features.items()
         },
         graph_hash=_graph_hash(na_graph),
         num_users=table.num_users,
         num_items=table.num_items,
-        visual_dim=visual_dim,
-        textual_dim=textual_dim,
+        visual_dim=model.cfg.visual_dim,
+        textual_dim=model.cfg.textual_dim,
         epochs=epoch_rows,
         best_epoch=best_epoch,
         best_val_r20=float(best_val) if best_val > -np.inf else math.nan,

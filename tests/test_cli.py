@@ -10,7 +10,9 @@ import pytest
 
 from toporec.cli import main
 from toporec.config import ConfigWarning
+from toporec.data import load_prepared
 from toporec.itemgraph import load_graph
+from toporec.synth import make_clustered_dataset
 
 
 def _run(argv):
@@ -114,16 +116,42 @@ def test_prepare_missing_input_fails(tmp_path, capsys):
     assert "toporec synth" in err
 
 
-def test_build_graph_modalities_differ(pipeline, tmp_path):
+def test_synth_features_follow_prepared_item_ids(tmp_path):
+    raw, prep = tmp_path / "raw", tmp_path / "prep"
+    assert _run(["synth", "--out", str(raw), "--users", "10", "--items", "40",
+                 "--clusters", "4", "--seed", "7"]) == 0
+    assert _run([
+        "prepare",
+        "--interactions", str(raw / "interactions.txt"),
+        "--features-visual", str(raw / "features_visual.tmf"),
+        "--features-textual", str(raw / "features_textual.tmf"),
+        "--out", str(prep),
+    ]) == 0
+    data = make_clustered_dataset(num_users=10, num_items=40, num_clusters=4, seed=7)
+    table, fv, ft = load_prepared(prep)
+    rows = [data.table.item_tokens.index(t) for t in table.item_tokens]
+    assert rows != sorted(rows)  # first appearance differs from generator order
+    assert len(rows) < 40  # some items no user touched are left out
+    assert np.array_equal(fv.values, data.features_visual.values[rows])
+    assert np.array_equal(ft.values, data.features_textual.values[rows])
+    clusters = np.loadtxt(raw / "item_clusters.txt", dtype=int)
+    assert np.array_equal(clusters, data.item_clusters[rows])
+
+
+def test_build_graph_modalities_differ(pipeline, tmp_path, capsys):
     _, _, prep, graph, _ = pipeline
     fused = load_graph(graph)
     solo_path = tmp_path / "vis.tmg"
     assert _run(["build-graph", "--prepared", str(prep), "--out", str(solo_path),
-                 "--modality", "visual", "--knn-k", "4"]) == 0
+                 "--use-textual", "false", "--knn-k", "4"]) == 0
     solo = load_graph(solo_path)
     assert np.all(solo.out_degrees() == 4)
     assert np.all(fused.out_degrees() >= 4)
     assert fused.nnz > solo.nnz
+    with pytest.raises(SystemExit):
+        _run(["build-graph", "--prepared", str(prep), "--out", str(solo_path),
+              "--modality", "visual"])
+    assert "--modality" in capsys.readouterr().err
 
 
 def test_prune_artifacts(pipeline):
@@ -213,6 +241,48 @@ def test_train_evaluate_ablate(pipeline, capsys):
     assert (abl / "no_na" / "manifest.json").exists()
 
 
+@pytest.fixture(scope="module")
+def trained(pipeline):
+    """A short training run on the shared pipeline's prepared data."""
+    root, _, prep, _, pruned = pipeline
+    run = root / "run_small"
+    assert _run(["train", "--prepared", str(prep), "--graph", str(pruned),
+                 "--out", str(run), "--max-epochs", "1", "--embed-dim", "8",
+                 "--hidden-dim", "8", "--batch-size", "64", "--knn-k", "4"]) == 0
+    return run
+
+
+def test_evaluate_refuses_other_prepared_data(pipeline, trained, tmp_path, capsys):
+    _, raw, _, _, _ = pipeline
+    other = tmp_path / "prep_other"
+    assert _run([
+        "prepare",
+        "--interactions", str(raw / "interactions.txt"),
+        "--features-visual", str(raw / "features_visual.tmf"),
+        "--features-textual", str(raw / "features_textual.tmf"),
+        "--out", str(other), "--seed", "8",
+    ]) == 0
+    capsys.readouterr()
+    code = _run(["evaluate", "--run", str(trained), "--prepared", str(other),
+                 "--out", str(tmp_path / "m")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "data_hash" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_evaluate_rejects_unknown_manifest_config_key(trained, tmp_path, capsys):
+    run = tmp_path / "old_run"
+    run.mkdir()
+    manifest = json.loads((trained / "manifest.json").read_text())
+    manifest["config"]["hop_order"] = 1
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert _run(["evaluate", "--run", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "hop_order" in err
+
+
 def test_ablate_rejects_unknown_variant(pipeline, capsys):
     root, _, prep, _, _ = pipeline
     code = _run(["ablate", "--prepared", str(prep), "--out", str(root / "a2"),
@@ -246,6 +316,13 @@ def test_config_file_and_flags_layer(pipeline, tmp_path, capsys):
     manifest = json.loads((run / "manifest.json").read_text())
     assert manifest["config"]["na_weight"] == 1.0
     assert manifest["config"]["max_epochs"] == 2
+
+    ini.write_text("[train]\nmax_epochs = 2\n[paths]\ngraph = g.tmg\n")
+    code = _run(["train", "--prepared", str(prep), "--graph", str(pruned),
+                 "--out", str(tmp_path / "run_paths"), "--config", str(ini)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "unknown config section [paths]" in err
 
 
 def test_stderr_logging_is_key_value(pipeline, tmp_path, capsys):

@@ -24,8 +24,6 @@ def test_defaults_validate_without_warnings():
 
 
 def test_hard_validation_errors():
-    with pytest.raises(ValueError, match="hop_order"):
-        validate_config(TrainConfig(hop_order=2))
     with pytest.raises(ValueError, match="temperature"):
         validate_config(TrainConfig(temperature=0.0))
     with pytest.raises(ValueError, match="prune_mode"):
@@ -94,17 +92,14 @@ def test_config_file_round_trip(tmp_path):
         "na_weight = 0.5\n"
         "eval_topn = 10, 20\n"
         "use_textual = yes\n"
-        "[paths]\n"
-        "prepared_dir = /data/prep\n"
     )
-    train, paths = load_config_file(path)
+    train = load_config_file(path)
     assert train == {
         "lr": 0.0005,
         "na_weight": 0.5,
         "eval_topn": (10, 20),
         "use_textual": True,
     }
-    assert paths == {"prepared_dir": "/data/prep"}
     cfg = resolve_config(file_overrides=train)
     assert cfg.lr == 0.0005
 
@@ -120,10 +115,10 @@ def test_config_file_rejects_unknown_entries(tmp_path):
     with pytest.raises(ValueError, match="unknown config section"):
         load_config_file(bad_section)
 
-    bad_path = tmp_path / "p.ini"
-    bad_path.write_text("[paths]\ncheckpoint = /x\n")
-    with pytest.raises(ValueError, match="checkpoint"):
-        load_config_file(bad_path)
+    paths = tmp_path / "p.ini"
+    paths.write_text("[train]\nlr = 0.001\n[paths]\ngraph = g.tmg\n")
+    with pytest.raises(ValueError, match=r"unknown config section \[paths\]"):
+        load_config_file(paths)
 
 
 def test_layering_order_flags_beat_file():

@@ -62,8 +62,8 @@ def test_from_rows_sorts_and_roundtrips():
 
 def test_row_neighbors_includes_self():
     g = SparseGraph.from_rows(4, [([1, 2, 3], [1, 1, 1]), ([], []), ([0], [1]), ([], [])])
-    assert row_neighbors(g, 0).members.tolist() == [0, 1, 2, 3]
-    assert row_neighbors(g, 1).members.tolist() == [1]  # isolated: just itself
+    assert row_neighbors(g, 0).tolist() == [0, 1, 2, 3]
+    assert row_neighbors(g, 1).tolist() == [1]  # isolated: just itself
     assert len(row_neighbors(g, 2)) == 2
     with pytest.raises(IndexError):
         row_neighbors(g, 4)
@@ -77,7 +77,7 @@ def test_row_neighbors_matches_set_oracle():
         g = dense_to_graph(dense)
         for m in range(n):
             expected = {m} | {j for j in range(n) if dense[m, j] != 0}
-            assert set(row_neighbors(g, m).members.tolist()) == expected
+            assert set(row_neighbors(g, m).tolist()) == expected
 
 
 def test_knn_tie_breaks_toward_lower_index():

@@ -25,9 +25,7 @@ from toporec.model import (
     joint_loss,
     na_batch_from_items,
     neighborhood_alignment_loss,
-    predict_scores,
 )
-from toporec.optim import ParamStore
 
 
 def _table(edges, num_users=None, num_items=None):
@@ -419,20 +417,6 @@ def test_joint_loss_value_composition():
     assert joint_loss(bpr, na, 1.0).item() == 1.0
     assert joint_loss(bpr, na, 2.0).item() == 1.5
     assert joint_loss(bpr, None, 0.0).item() == 0.5
-
-    store = ParamStore()
-    store.add("w", np.array([[3.0, 4.0]]))  # squared norm 25
-    assert abs(joint_loss(bpr, na, 1.0, l2_weight=0.1, store=store).item() - 3.5) < 1e-12
-
-
-def test_predict_scores_blocks():
-    rng = np.random.default_rng(16)
-    z_u = rng.standard_normal((9, 4))
-    z_i = rng.standard_normal((7, 4))
-    full = predict_scores(z_u, z_i, block_size=3)
-    assert np.allclose(full, z_u @ z_i.T, atol=1e-12)
-    some = predict_scores(z_u, z_i, user_rows=[2, 5], block_size=1)
-    assert np.allclose(some, z_u[[2, 5]] @ z_i.T, atol=1e-12)
 
 
 def test_eligible_anchor_items():

@@ -125,13 +125,6 @@ def test_state_arrays_are_copies():
     assert np.array_equal(p.values, [[5.0, 6.0]])
 
 
-def test_l2_norm_matches_manual_sum():
-    store = ParamStore()
-    store.add("a", np.array([[1.0, 2.0]]))
-    store.add("b", np.array([[3.0], [4.0]]))
-    assert abs(store.l2_norm_sq() - 30.0) < 1e-12
-
-
 def test_zero_grad_clears_everything():
     store = ParamStore()
     p = store.add("w", np.ones((1, 1)))

@@ -253,6 +253,27 @@ def test_fit_reruns_are_bit_identical(tmp_path):
     assert csv_a == csv_b
 
 
+@pytest.mark.parametrize(
+    "option",
+    [{"na_anchor_mode": "bpr_batch"}, {"na_on_modalities": True}],
+    ids=["bpr_batch", "na_on_modalities"],
+)
+def test_fit_alignment_options_rerun_bit_identical(tmp_path, option):
+    data = _tiny_data()
+    cfg = _tiny_config(max_epochs=3, **option)
+    graph, _, _ = _quiet_graph(cfg, data)
+    runs = [
+        _quiet_fit(cfg, data, na_graph=graph, out_dir=str(tmp_path / name))
+        for name in ("a", "b")
+    ]
+    for row in runs[0].epochs:
+        assert np.isfinite(row["loss_bpr"]) and np.isfinite(row["loss_na"])
+        assert row["loss_na"] > 0.0
+    assert runs[0].epochs == runs[1].epochs
+    for name in ("epochs.csv", "checkpoint.tmc"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_manifest_artifacts(tmp_path):
     data = _tiny_data()
     cfg = _tiny_config(max_epochs=2)
