@@ -166,10 +166,9 @@ def cmd_train(args):
                 "`toporec prune` first"
             )
         graph = load_graph(_require(args.graph, "graph file", "prune"))
-    manifest = fit(cfg, table, fv, ft, na_graph=graph, out_dir=args.out)
-    manifest.prepared_dir = os.path.abspath(args.prepared)
-    manifest.graph_path = os.path.abspath(args.graph) if args.graph else ""
-    manifest.save(args.out)
+    graph_path = os.path.abspath(args.graph) if args.graph else ""
+    manifest = fit(cfg, table, fv, ft, na_graph=graph, out_dir=args.out,
+                   prepared_dir=os.path.abspath(args.prepared), graph_path=graph_path)
     _log(
         event="train",
         epochs=len(manifest.epochs),
@@ -187,6 +186,8 @@ def cmd_evaluate(args):
     manifest_path = _require(os.path.join(args.run, "manifest.json"), "run manifest", "train")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
+        raise ValueError(f"{manifest_path}: not a run manifest (it has no config object)")
     prepared = args.prepared or manifest.get("prepared_dir")
     if not prepared:
         raise ValueError("manifest has no prepared_dir; pass --prepared")

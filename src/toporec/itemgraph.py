@@ -16,6 +16,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "SparseGraph",
@@ -66,18 +67,17 @@ class SparseGraph:
             raise ValueError("column index out of range")
         if (self.weights < 0).any():
             raise ValueError("edge weights must be non-negative")
-        for m in range(self.num_nodes):
-            cols = self.indices[self.indptr[m]:self.indptr[m + 1]]
-            if len(cols) > 1 and (np.diff(cols) <= 0).any():
-                raise ValueError(f"row {m} has unsorted or duplicate columns")
+        # Columns rise within a row; only a row's first entry may step down.
+        bad = np.flatnonzero(np.diff(self.indices) <= 0) + 1
+        bad = bad[~np.isin(bad, self.indptr)]
+        if bad.size:
+            m = np.searchsorted(self.indptr, bad[0], side="right") - 1
+            raise ValueError(f"row {m} has unsorted or duplicate columns")
         return self
 
     @property
     def nnz(self):
         return len(self.indices)
-
-    def out_degree(self, m):
-        return int(self.indptr[m + 1] - self.indptr[m])
 
     def row(self, m):
         """(columns, weights) views for one row."""
@@ -87,16 +87,10 @@ class SparseGraph:
     def out_degrees(self):
         return np.diff(self.indptr)
 
-    def copy(self):
-        return SparseGraph(
-            self.num_nodes, self.indptr.copy(), self.indices.copy(), self.weights.copy()
-        )
-
     def to_dense(self):
         dense = np.zeros((self.num_nodes, self.num_nodes))
-        for m in range(self.num_nodes):
-            cols, w = self.row(m)
-            dense[m, cols] = w
+        src, dst, w = self.to_edges()
+        dense[src, dst] = w
         return dense
 
     def to_edges(self):
@@ -107,43 +101,40 @@ class SparseGraph:
     @staticmethod
     def from_rows(num_nodes, rows):
         """Build from per-row (columns, weights) pairs; sorts columns."""
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        all_cols = []
-        all_w = []
-        for m, (cols, w) in enumerate(rows):
-            cols = np.asarray(cols, dtype=np.int64)
-            w = np.asarray(w, dtype=np.float64)
-            if len(cols) != len(w):
-                raise ValueError(f"row {m}: {len(cols)} columns but {len(w)} weights")
-            order = np.argsort(cols, kind="stable")
-            all_cols.append(cols[order])
-            all_w.append(w[order])
-            indptr[m + 1] = indptr[m] + len(cols)
-        indices = np.concatenate(all_cols) if all_cols else np.zeros(0, dtype=np.int64)
-        weights = np.concatenate(all_w) if all_w else np.zeros(0)
-        return SparseGraph(num_nodes, indptr, indices, weights).validate()
+        rows = list(rows)
+        if not rows:
+            return SparseGraph.from_edges(num_nodes, [], [], [])
+        cols, weights = zip(*rows)
+        counts = np.fromiter(map(len, cols), dtype=np.int64, count=len(rows))
+        mismatch = np.flatnonzero(counts != np.fromiter(map(len, weights), dtype=np.int64))
+        if mismatch.size:
+            m = mismatch[0]
+            raise ValueError(f"row {m}: {counts[m]} columns but {len(weights[m])} weights")
+        src = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
+        return SparseGraph.from_edges(
+            num_nodes, src, np.concatenate(cols), np.concatenate(weights)
+        )
 
     @staticmethod
     def from_edges(num_nodes, src, dst, weights):
+        """Build from (src, dst, weight) arrays in any order; validates."""
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         weights = np.asarray(weights, dtype=np.float64)
-        rows = [[] for _ in range(num_nodes)]
-        vals = [[] for _ in range(num_nodes)]
-        for s, d, w in zip(src, dst, weights):
-            rows[s].append(d)
-            vals[s].append(w)
-        return SparseGraph.from_rows(num_nodes, zip(rows, vals))
+        if len(src) and (src.min() < 0 or src.max() >= num_nodes):
+            raise ValueError("source index out of range")
+        order = np.lexsort((dst, src))
+        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
+        return SparseGraph(num_nodes, indptr, dst[order], weights[order]).validate()
 
 
-def graphs_equal(a, b, tol=0.0):
+def graphs_equal(a, b):
     if a.num_nodes != b.num_nodes or a.nnz != b.nnz:
         return False
     if not np.array_equal(a.indptr, b.indptr) or not np.array_equal(a.indices, b.indices):
         return False
-    if tol == 0.0:
-        return bool(np.array_equal(a.weights, b.weights))
-    return bool(np.allclose(a.weights, b.weights, rtol=0, atol=tol))
+    return bool(np.array_equal(a.weights, b.weights))
 
 
 def row_neighbors(graph, m):
@@ -152,6 +143,12 @@ def row_neighbors(graph, m):
         raise IndexError(f"node {m} outside graph of {graph.num_nodes} nodes")
     cols, _ = graph.row(m)
     return np.union1d(cols, np.array([m], dtype=np.int64))
+
+
+# The block shape of a BLAS product can move the last bit of a cosine weight,
+# so _GRAM_ROWS stays fixed; _TOPK_ROWS bounds the memory of the selection.
+_GRAM_ROWS = 2048
+_TOPK_ROWS = 512
 
 
 def build_knn_graph(features, k, binarize=True):
@@ -171,23 +168,25 @@ def build_knn_graph(features, k, binarize=True):
     work = values.astype(np.float64, copy=False)
     norms = np.sqrt((work * work).sum(axis=1, keepdims=True))
     normed = np.divide(work, norms, out=np.zeros_like(work), where=norms > 0)
-    rows = []
-    block = 2048
-    positions = np.arange(n)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        sims = normed[start:stop] @ normed.T
-        for r in range(stop - start):
-            s = sims[r]
-            s[start + r] = -np.inf
-            order = np.lexsort((positions, -s))[:k]
-            chosen = np.sort(order)
-            if binarize:
-                w = np.ones(k)
-            else:
-                w = np.clip(s[chosen], 0.0, None)
-            rows.append((chosen, w))
-    return SparseGraph.from_rows(n, rows)
+    src, dst, scores = [], [], []
+    for block in range(0, n, _GRAM_ROWS):
+        gram = normed[block:block + _GRAM_ROWS] @ normed.T
+        gram[np.arange(len(gram)), block + np.arange(len(gram))] = -np.inf
+        for lo in range(0, len(gram), _TOPK_ROWS):
+            sims = gram[lo:lo + _TOPK_ROWS]
+            # Every score above the k-th largest, then the lowest-index
+            # columns tied with it until the row holds k.
+            kth = np.partition(sims, n - k, axis=1)[:, [n - k]]
+            above = sims > kth
+            tied = sims == kth
+            room = k - above.sum(axis=1, keepdims=True)
+            rows, cols = np.nonzero(above | (tied & (np.cumsum(tied, axis=1) <= room)))
+            src.append(block + lo + rows)
+            dst.append(cols)
+            scores.append(sims[rows, cols])
+    scores = np.concatenate(scores)
+    weights = np.ones(len(scores)) if binarize else np.clip(scores, 0.0, None)
+    return SparseGraph.from_edges(n, np.concatenate(src), np.concatenate(dst), weights)
 
 
 def fuse_graphs(graph_a, graph_b, weight_a):
@@ -199,16 +198,15 @@ def fuse_graphs(graph_a, graph_b, weight_a):
         )
     if not 0.0 <= weight_a <= 1.0:
         raise ValueError(f"fusion weight must be in [0, 1], got {weight_a}")
-    rows = []
-    for m in range(graph_a.num_nodes):
-        cols_a, w_a = graph_a.row(m)
-        cols_b, w_b = graph_b.row(m)
-        cols = np.union1d(cols_a, cols_b)
-        w = np.zeros(len(cols))
-        w[np.searchsorted(cols, cols_a)] += weight_a * w_a
-        w[np.searchsorted(cols, cols_b)] += (1.0 - weight_a) * w_b
-        rows.append((cols, w))
-    return SparseGraph.from_rows(graph_a.num_nodes, rows)
+    n = graph_a.num_nodes
+    src_a, dst_a, w_a = graph_a.to_edges()
+    src_b, dst_b, w_b = graph_b.to_edges()
+    keys, edge = np.unique(np.concatenate([src_a * n + dst_a, src_b * n + dst_b]),
+                           return_inverse=True)
+    # bincount adds from 0.0 in array order, A's term before B's, and keeps
+    # an edge whose terms sum to 0, so the pattern stays the union.
+    w = np.concatenate([weight_a * w_a, (1.0 - weight_a) * w_b])
+    return SparseGraph.from_edges(n, keys // n, keys % n, np.bincount(edge, weights=w))
 
 
 def _mutual_information(total, size_m, size_n, overlap, log_base=None):
@@ -249,8 +247,6 @@ def topological_similarity(graph, m, n, log_base=None):
 class PruneReport:
     """Per-node outcome of a pruning pass."""
 
-    k: int
-    nodes: np.ndarray
     kept: np.ndarray
     dropped: np.ndarray
     min_ts: np.ndarray
@@ -265,10 +261,10 @@ class PruneReport:
     def to_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("node,kept,dropped,min_ts,max_ts\n")
-            for i in range(len(self.nodes)):
+            for i in range(len(self.kept)):
                 lo = "" if np.isnan(self.min_ts[i]) else repr(float(self.min_ts[i]))
                 hi = "" if np.isnan(self.max_ts[i]) else repr(float(self.max_ts[i]))
-                fh.write(f"{self.nodes[i]},{self.kept[i]},{self.dropped[i]},{lo},{hi}\n")
+                fh.write(f"{i},{self.kept[i]},{self.dropped[i]},{lo},{hi}\n")
 
 
 def tps_prune(graph, k, log_base=None):
@@ -282,38 +278,32 @@ def tps_prune(graph, k, log_base=None):
     if k < 1:
         raise ValueError(f"prune k must be >= 1, got {k}")
     n = graph.num_nodes
-    hoods = [row_neighbors(graph, m) for m in range(n)]
-    rows = []
-    kept = np.zeros(n, dtype=np.int64)
-    dropped = np.zeros(n, dtype=np.int64)
+    src, dst, w = graph.to_edges()
+    # Row m of `hoods` is the 0/1 indicator of N_m; an edge's overlap is
+    # the dot product of its two end rows.
+    hoods = sp.csr_matrix((np.ones(len(dst)), dst, graph.indptr), shape=(n, n)) + sp.identity(n)
+    hoods.data[:] = 1.0
+    overlap = np.asarray(hoods[src].multiply(hoods[dst]).sum(axis=1), dtype=np.int64).ravel()
+    sizes = hoods.getnnz(axis=1)
+    # Few distinct (|N_m|, |N_n|, overlap) triples occur; the scalar
+    # formula scores each once, so every edge gets its exact value.
+    triples, which = np.unique(
+        np.stack([sizes[src], sizes[dst], overlap], axis=1), axis=0, return_inverse=True
+    )
+    scores = [_mutual_information(n, *triple, log_base) for triple in triples.tolist()]
+    ts = np.array(scores, dtype=np.float64)[which.ravel()]
+
+    degrees = graph.out_degrees()
+    rank = np.arange(len(src)) - graph.indptr[src]
+    keep = np.lexsort((dst, -w, -ts, src))[rank < k]
+    kept = np.bincount(src[keep], minlength=n)
+    rows = np.flatnonzero(degrees)
     min_ts = np.full(n, np.nan)
     max_ts = np.full(n, np.nan)
-    for m in range(n):
-        cols, w = graph.row(m)
-        deg = len(cols)
-        if deg == 0:
-            rows.append((cols, w))
-            continue
-        size_m = len(hoods[m])
-        ts = np.empty(deg)
-        for j, nb in enumerate(cols):
-            overlap = np.intersect1d(hoods[m], hoods[nb], assume_unique=True).size
-            ts[j] = _mutual_information(n, size_m, len(hoods[nb]), overlap, log_base)
-        min_ts[m] = ts.min()
-        max_ts[m] = ts.max()
-        if deg <= k:
-            choice = np.arange(deg)
-        else:
-            choice = np.lexsort((cols, -w, -ts))[:k]
-        choice = np.sort(choice)
-        kept[m] = len(choice)
-        dropped[m] = deg - len(choice)
-        rows.append((cols[choice], w[choice]))
-    report = PruneReport(
-        k=k, nodes=np.arange(n, dtype=np.int64),
-        kept=kept, dropped=dropped, min_ts=min_ts, max_ts=max_ts,
-    )
-    return SparseGraph.from_rows(n, rows), report
+    min_ts[rows] = np.minimum.reduceat(ts, graph.indptr[rows])
+    max_ts[rows] = np.maximum.reduceat(ts, graph.indptr[rows])
+    report = PruneReport(kept, degrees - kept, min_ts, max_ts)
+    return SparseGraph.from_edges(n, src[keep], dst[keep], w[keep]), report
 
 
 def random_prune(graph, k, seed):
@@ -321,16 +311,13 @@ def random_prune(graph, k, seed):
     if k < 1:
         raise ValueError(f"prune k must be >= 1, got {k}")
     rng = np.random.default_rng(seed)
-    rows = []
-    for m in range(graph.num_nodes):
-        cols, w = graph.row(m)
-        deg = len(cols)
-        if deg <= k:
-            rows.append((cols, w))
-            continue
-        choice = np.sort(rng.choice(deg, size=k, replace=False))
-        rows.append((cols[choice], w[choice]))
-    return SparseGraph.from_rows(graph.num_nodes, rows)
+    src, dst, w = graph.to_edges()
+    keep = np.ones(graph.nnz, dtype=bool)
+    for m in np.flatnonzero(graph.out_degrees() > k):
+        lo, hi = graph.indptr[m], graph.indptr[m + 1]
+        keep[lo:hi] = False
+        keep[lo + rng.choice(hi - lo, size=k, replace=False)] = True
+    return SparseGraph.from_edges(graph.num_nodes, src[keep], dst[keep], w[keep])
 
 
 def corrupt_graph(graph, eps, seed):
@@ -345,33 +332,22 @@ def corrupt_graph(graph, eps, seed):
         raise ValueError(f"corruption rate must be in [0, 1], got {eps}")
     rng = np.random.default_rng(seed)
     n = graph.num_nodes
-    rows = []
-    for m in range(n):
-        cols, w = graph.row(m)
-        deg = len(cols)
-        if deg == 0 or eps == 0.0:
-            rows.append((cols, w))
-            continue
-        flip = rng.random(deg) < eps
-        if not flip.any():
-            rows.append((cols, w))
-            continue
-        avoid = set(int(c) for c in cols)
-        avoid.add(m)
-        new_cols = cols.copy()
-        for j in np.flatnonzero(flip):
+    src, dst, w = graph.to_edges()
+    for m in np.flatnonzero(graph.out_degrees()) if eps > 0.0 else ():
+        lo, hi = graph.indptr[m], graph.indptr[m + 1]
+        flip = lo + np.flatnonzero(rng.random(hi - lo) < eps)
+        avoid = set(dst[lo:hi].tolist()) | {int(m)}
+        for j in flip:
             if len(avoid) >= n:
-                continue  # nowhere left to rewire; keep the edge
+                break  # nowhere left to rewire; keep the remaining edges
             t = int(rng.integers(0, n))
             while t in avoid:
                 t = int(rng.integers(0, n))
             avoid.add(t)
-            new_cols[j] = t
-        rows.append((new_cols, w))
-    return SparseGraph.from_rows(n, rows)
+            dst[j] = t
+    return SparseGraph.from_edges(n, src, dst, w)
 
 
-_GRAPH_MAGIC_TEXT = b"TMG1"
 _GRAPH_MAGIC_BIN = b"TMG2"
 
 
@@ -393,25 +369,47 @@ def save_graph(path, graph, binary=False):
 
 
 def load_graph(path):
+    """Read a TMG1 or TMG2 file; a malformed one raises a ValueError naming it."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic == _GRAPH_MAGIC_BIN:
-            num_nodes, nnz = struct.unpack("<IQ", fh.read(12))
-            indptr = np.frombuffer(fh.read((num_nodes + 1) * 8), dtype="<i8").copy()
-            indices = np.frombuffer(fh.read(nnz * 8), dtype="<i8").copy()
-            weights = np.frombuffer(fh.read(nnz * 8), dtype="<f8").copy()
-            return SparseGraph(num_nodes, indptr, indices, weights).validate()
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != "TMG1":
-            raise ValueError(f"{path}: not a graph file (expected TMG1 or TMG2 header)")
-        num_nodes, nnz = int(header[1]), int(header[2])
-        src = np.empty(nnz, dtype=np.int64)
-        dst = np.empty(nnz, dtype=np.int64)
-        w = np.empty(nnz)
-        for e in range(nnz):
-            parts = fh.readline().split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}: edge line {e + 1} malformed")
-            src[e], dst[e], w[e] = int(parts[0]), int(parts[1]), float(parts[2])
+        data = fh.read()
+    try:
+        if data[:4] == _GRAPH_MAGIC_BIN:
+            return _parse_tmg2(data[4:])
+        return _parse_tmg1(iter(data.decode("utf-8").splitlines()))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_tmg2(data):
+    if len(data) < 12:
+        raise ValueError(f"TMG2 header needs 12 bytes after the magic, got {len(data)}")
+    num_nodes, nnz = struct.unpack_from("<IQ", data)
+    need = 12 + (num_nodes + 1 + 2 * nnz) * 8
+    if len(data) != need:
+        raise ValueError(
+            f"TMG2 data of {num_nodes} nodes and {nnz} edges needs {need} bytes "
+            f"after the magic, got {len(data)}"
+        )
+    ints = np.frombuffer(data, dtype="<i8", count=num_nodes + 1 + nnz, offset=12).copy()
+    weights = np.frombuffer(data, dtype="<f8", offset=12 + ints.nbytes).copy()
+    return SparseGraph(num_nodes, ints[:num_nodes + 1], ints[num_nodes + 1:], weights).validate()
+
+
+def _parse_tmg1(lines):
+    header = next(lines, "").split()
+    if len(header) != 3 or header[0] != "TMG1":
+        raise ValueError("not a graph file (expected TMG1 or TMG2 header)")
+    num_nodes, nnz = int(header[1]), int(header[2])
+    src = np.empty(nnz, dtype=np.int64)
+    dst = np.empty(nnz, dtype=np.int64)
+    w = np.empty(nnz)
+    for e in range(nnz):
+        parts = next(lines, "").split()
+        if len(parts) != 3:
+            raise ValueError(f"edge line {e + 1} malformed")
+        src[e], dst[e], w[e] = int(parts[0]), int(parts[1]), float(parts[2])
+    outside = np.flatnonzero((src < 0) | (src >= num_nodes) | (dst < 0) | (dst >= num_nodes))
+    if outside.size:
+        e = outside[0]
+        raise ValueError(f"edge line {e + 1}: {src[e]} -> {dst[e]} is outside {num_nodes} nodes")
     return SparseGraph.from_edges(num_nodes, src, dst, w)

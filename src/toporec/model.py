@@ -247,23 +247,20 @@ def joint_loss(bpr, na, na_weight):
 
 def eligible_anchor_items(graph):
     """Items with at least one positive-weight out-edge."""
-    keep = np.zeros(graph.num_nodes, dtype=bool)
-    for m in range(graph.num_nodes):
-        _, w = graph.row(m)
-        if len(w) and (w > 0).any():
-            keep[m] = True
-    return np.flatnonzero(keep)
+    src, _, w = graph.to_edges()
+    return np.unique(src[w > 0])
 
 
 def _weights_slice(graph, anchors, batch_ids, dtype):
+    """(anchors, batch) matrix of the anchors' edge weights into the batch."""
+    src, dst, w = graph.to_edges()
+    row = np.full(graph.num_nodes, -1)
+    row[anchors] = np.arange(len(anchors))
+    col = np.full(graph.num_nodes, -1)
+    col[batch_ids] = np.arange(len(batch_ids))
+    ok = (row[src] >= 0) & (col[dst] >= 0)
     weights = np.zeros((len(anchors), len(batch_ids)), dtype=dtype)
-    for row, a in enumerate(anchors):
-        cols, w = graph.row(int(a))
-        if not len(cols):
-            continue
-        pos = np.searchsorted(batch_ids, cols)
-        ok = (pos < len(batch_ids)) & (batch_ids[np.minimum(pos, len(batch_ids) - 1)] == cols)
-        weights[row, pos[ok]] = w[ok]
+    weights[row[src[ok]], col[dst[ok]]] = w[ok]
     return weights
 
 

@@ -224,7 +224,8 @@ def build_model(cfg, table, features):
     return model, arrays
 
 
-def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=None):
+def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=None,
+        prepared_dir="", graph_path=""):
     """Train one model; returns the RunManifest (with .model attached).
 
     na_graph is the item-item supervision graph, already pruned however
@@ -379,6 +380,8 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
         checkpoint_path=checkpoint_path,
         test_metrics=test_metrics,
         val_metrics=val_metrics,
+        prepared_dir=prepared_dir,
+        graph_path=graph_path,
         model=model,
     )
     if out_dir:

@@ -11,7 +11,7 @@ import pytest
 from toporec.cli import main
 from toporec.config import ConfigWarning
 from toporec.data import load_prepared
-from toporec.itemgraph import load_graph
+from toporec.itemgraph import SparseGraph, load_graph, save_graph
 from toporec.synth import make_clustered_dataset
 
 
@@ -176,6 +176,51 @@ def test_corrupt_roundtrip(pipeline, tmp_path):
     assert not np.array_equal(noisy.indices, clean.indices)
 
 
+def _tmg2_bytes(tmp_path):
+    """A 3-node TMG2 file with two edges: the magic, then 12 + 64 bytes."""
+    path = tmp_path / "ok.tmgb"
+    graph = SparseGraph.from_rows(3, [([1, 2], [1.0, 0.5]), ([], []), ([], [])])
+    save_graph(path, graph, binary=True)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("content, message", [
+    (lambda tmp: b"TMG1 3 2\n0 1 1.0\n-1 1 1.0\n", "edge line 2: -1 -> 1 is outside 3 nodes"),
+    (lambda tmp: b"TMG1 3 2\n5 1 1.0\n0 2 1.0\n", "edge line 1: 5 -> 1 is outside 3 nodes"),
+    (lambda tmp: _tmg2_bytes(tmp)[:10], "header needs 12 bytes after the magic, got 6"),
+    (lambda tmp: _tmg2_bytes(tmp)[:-8], "needs 76 bytes after the magic, got 68"),
+], ids=["tmg1-negative-source", "tmg1-source-past-end", "tmg2-short-header", "tmg2-short-body"])
+def test_bad_graph_file_fails_with_error_line_naming_it(tmp_path, capsys, content, message):
+    bad = tmp_path / "bad.tmg"
+    bad.write_bytes(content(tmp_path))
+    out = tmp_path / "out.tmg"
+    assert _run(["prune", "--graph", str(bad), "--out", str(out), "--k", "1"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}: " in err and message in err
+    assert not out.exists()
+
+
+def test_train_writes_manifest_once(pipeline, tmp_path, monkeypatch):
+    _, _, prep, _, pruned = pipeline
+    from toporec.trainer import RunManifest
+
+    saves = []
+    original = RunManifest.save
+
+    def counting_save(self, out_dir):
+        saves.append(out_dir)
+        original(self, out_dir)
+
+    monkeypatch.setattr(RunManifest, "save", counting_save)
+    run = tmp_path / "run"
+    assert _run(["train", "--prepared", str(prep), "--graph", str(pruned), "--out", str(run),
+                 "--max-epochs", "1", "--embed-dim", "8", "--hidden-dim", "8"]) == 0
+    assert saves == [str(run)]
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["prepared_dir"] == str(prep)
+    assert manifest["graph_path"] == str(pruned)
+
+
 def test_train_without_graph_names_missing_steps(pipeline, capsys):
     root, _, prep, _, _ = pipeline
     code = _run(["train", "--prepared", str(prep), "--out", str(root / "run_x")])
@@ -281,6 +326,18 @@ def test_evaluate_rejects_unknown_manifest_config_key(trained, tmp_path, capsys)
     assert _run(["evaluate", "--run", str(run)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "hop_order" in err
+
+
+def test_evaluate_rejects_manifest_without_config(trained, tmp_path, capsys):
+    run = tmp_path / "no_config"
+    run.mkdir()
+    manifest = json.loads((trained / "manifest.json").read_text())
+    del manifest["config"]
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert _run(["evaluate", "--run", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {run / 'manifest.json'}: not a run manifest" in err
 
 
 def test_ablate_rejects_unknown_variant(pipeline, capsys):

@@ -13,6 +13,7 @@ from oracles import (
     random_graph,
     ts_set_oracle,
 )
+from toporec import itemgraph
 from toporec.itemgraph import (
     SparseGraph,
     build_knn_graph,
@@ -32,7 +33,6 @@ def test_sparse_graph_validation():
     g = SparseGraph(3, [0, 1, 2, 3], [1, 2, 0], [1.0, 1.0, 1.0])
     g.validate()
     assert g.nnz == 3
-    assert g.out_degree(0) == 1
     assert g.out_degrees().tolist() == [1, 1, 1]
 
     with pytest.raises(ValueError, match="indptr length"):
@@ -45,6 +45,23 @@ def test_sparse_graph_validation():
         SparseGraph(2, [0, 1, 2], [1, 0], [1.0, -1.0]).validate()
     with pytest.raises(ValueError, match="unsorted or duplicate"):
         SparseGraph(2, [0, 2, 2], [1, 1], [1.0, 1.0]).validate()
+
+
+def test_validate_checks_order_within_rows_only():
+    # columns may step down where a row begins, and rows may be empty
+    SparseGraph(4, [0, 2, 2, 4, 4], [2, 3, 0, 1], [1.0] * 4).validate()
+    SparseGraph(4, [0, 0, 0, 0, 0], [], []).validate()
+    SparseGraph(3, [0, 1, 1, 2], [2, 2], [1.0, 1.0]).validate()
+    with pytest.raises(ValueError, match="row 2 has unsorted or duplicate"):
+        SparseGraph(4, [0, 2, 2, 4, 4], [1, 3, 2, 0], [1.0] * 4).validate()
+    with pytest.raises(ValueError, match="row 3 has unsorted or duplicate"):
+        SparseGraph(4, [0, 1, 1, 1, 3], [1, 2, 2], [1.0] * 3).validate()
+
+
+def test_from_edges_rejects_sources_out_of_range():
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match="source index out of range"):
+            SparseGraph.from_edges(3, [0, bad], [1, 1], [1.0, 1.0])
 
 
 def test_from_rows_sorts_and_roundtrips():
@@ -113,6 +130,28 @@ def test_knn_zero_rows_and_errors():
         build_knn_graph(feats, 4)
     with pytest.raises(ValueError, match=">= 1"):
         build_knn_graph(feats, 0)
+
+
+@pytest.mark.parametrize("binarize", [True, False])
+def test_knn_ties_across_blocks_follow_tie_rule(binarize):
+    # One-hot rows have cosines of exactly 0 or 1, so most of each row's
+    # k-th score is tied; n spans several blocks of the similarity matrix.
+    n, k = itemgraph._GRAM_ROWS + 60, 4
+    rng = np.random.default_rng(45)
+    labels = rng.integers(-1, 12, size=n)  # -1: an all-zero feature row
+    labels[:3] = 12  # a group smaller than k + 1
+    feats = np.zeros((n, 13))
+    feats[labels >= 0, labels[labels >= 0]] = 1.0
+    g = build_knn_graph(feats, k, binarize=binarize)
+    for m in range(n):
+        # score 1 for the same nonzero group, else 0; ties go to lower index
+        same = labels == labels[m] if labels[m] >= 0 else np.zeros(n, dtype=bool)
+        ranked = np.concatenate([np.flatnonzero(same), np.flatnonzero(~same)])
+        chosen = np.sort(ranked[ranked != m][:k])
+        cols, w = g.row(m)
+        assert cols.tolist() == chosen.tolist()
+        expected = np.ones(k) if binarize else same[chosen].astype(float)
+        assert w.tolist() == expected.tolist()
 
 
 def test_knn_cosine_weights_when_not_binarized():
@@ -254,6 +293,23 @@ def test_tps_prune_log_base_invariance():
         nat, _ = tps_prune(g, 2)
         base2, _ = tps_prune(g, 2, log_base=2.0)
         assert graph_edge_set(nat) == graph_edge_set(base2)
+
+
+def test_tps_prune_report_bounds_equal_scalar_scores():
+    rng = np.random.default_rng(46)
+    for _ in range(20):
+        n = int(rng.integers(2, 30))
+        g = dense_to_graph(random_graph(rng, n, 6))
+        log_base = [None, 2.0][int(rng.integers(0, 2))]
+        _, report = tps_prune(g, 2, log_base=log_base)
+        for m in range(n):
+            cols, _ = g.row(m)
+            if not len(cols):
+                assert np.isnan(report.min_ts[m]) and np.isnan(report.max_ts[m])
+                continue
+            ts = [topological_similarity(g, m, int(c), log_base) for c in cols]
+            assert report.min_ts[m] == min(ts)
+            assert report.max_ts[m] == max(ts)
 
 
 def test_tps_prune_report_csv(tmp_path):
