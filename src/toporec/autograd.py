@@ -14,6 +14,7 @@ dtype; ops follow the dtype of their inputs.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "Tensor",
@@ -204,13 +205,13 @@ def mul(a, b):
 
 
 def add_const(a, c):
-    c = np.asarray(c)
+    c = np.asarray(c, dtype=a.values.dtype)
     _broadcast_shape("add_const", a.shape, np.atleast_2d(c).shape)
     return _from_op(a.values + c, [(a, lambda g: _unbroadcast(g, a.shape))])
 
 
 def mul_const(a, c):
-    c = np.asarray(c)
+    c = np.asarray(c, dtype=a.values.dtype)
     _broadcast_shape("mul_const", a.shape, np.atleast_2d(c).shape)
     return _from_op(a.values * c, [(a, lambda g: _unbroadcast(g * c, a.shape))])
 
@@ -285,9 +286,15 @@ def gather_rows(a, idx):
     av = a.values
 
     def back(g):
-        buf = np.zeros_like(av)
-        np.add.at(buf, idx, g)
-        return buf
+        # Row r of the scatter matrix picks the g rows gathered from r, in
+        # ascending order, so each sum runs as np.add.at's would.
+        order = np.argsort(idx, kind="stable")
+        indptr = np.zeros(a.rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(idx, minlength=a.rows), out=indptr[1:])
+        scatter = sp.csr_matrix(
+            (np.ones(len(idx), dtype=av.dtype), order, indptr), shape=(a.rows, len(idx))
+        )
+        return scatter @ g.astype(av.dtype, copy=False)
 
     return _from_op(av[idx], [(a, back)])
 

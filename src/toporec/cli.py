@@ -150,7 +150,11 @@ def cmd_corrupt(args):
     graph = load_graph(_require(args.graph, "graph file", "build-graph"))
     noisy = corrupt_graph(graph, args.eps, args.seed)
     save_graph(args.out, noisy, binary=args.binary)
-    changed = int((graph.indices != noisy.indices).sum())
+    # Rows are re-sorted after rewiring, so count the new (src, dst) pairs.
+    src, dst, _ = graph.to_edges()
+    noisy_src, noisy_dst, _ = noisy.to_edges()
+    n = graph.num_nodes
+    changed = len(np.setdiff1d(noisy_src * n + noisy_dst, src * n + dst))
     _log(event="corrupt", eps=args.eps, rewired=changed, edges=graph.nnz, out=args.out)
     return 0
 

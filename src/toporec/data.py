@@ -49,8 +49,7 @@ class InteractionTable:
     item_tokens: list
     edges: np.ndarray  # (n, 2) int64 rows of (user, item)
     roles: np.ndarray  # (n,) int8, ROLE_* values
-    _by_user: dict = field(default_factory=dict, repr=False, compare=False)
-    _train_sets: list = field(default=None, repr=False, compare=False)
+    _train_keys: np.ndarray = field(default=None, repr=False, compare=False)
     _warned_saturated: set = field(default_factory=set, repr=False, compare=False)
 
     def __post_init__(self):
@@ -71,27 +70,12 @@ class InteractionTable:
     def role_edges(self, role):
         return self.edges[self.roles == role]
 
-    def items_of(self, user, role=None):
-        """Item indices this user interacted with, optionally one role."""
-        key = role
-        if key not in self._by_user:
-            buckets = [[] for _ in range(self.num_users)]
-            if role is None:
-                rows = self.edges
-            else:
-                rows = self.edges[self.roles == role]
-            for u, i in rows:
-                buckets[u].append(i)
-            self._by_user[key] = [np.array(sorted(b), dtype=np.int64) for b in buckets]
-        return self._by_user[key][user]
-
-    def train_item_sets(self):
-        if self._train_sets is None:
-            sets = [set() for _ in range(self.num_users)]
-            for u, i in self.edges[self.roles == ROLE_TRAIN]:
-                sets[u].add(int(i))
-            self._train_sets = sets
-        return self._train_sets
+    def train_keys(self):
+        """Sorted distinct keys user * num_items + item of the train edges."""
+        if self._train_keys is None:
+            train = self.role_edges(ROLE_TRAIN)
+            self._train_keys = np.unique(train[:, 0] * self.num_items + train[:, 1])
+        return self._train_keys
 
     def split_counts(self):
         return {
@@ -251,24 +235,29 @@ def sample_bpr_triples(table, batch_size, rng):
     train_edges = table.role_edges(ROLE_TRAIN)
     if len(train_edges) == 0:
         raise ValueError("train split is empty; run make_split first")
-    sets = table.train_item_sets()
+    n = table.num_items
+    owned = table.train_keys()
+
+    def is_owned(keys):
+        return owned[np.minimum(np.searchsorted(owned, keys), len(owned) - 1)] == keys
+
     picks = rng.integers(0, len(train_edges), size=batch_size)
     users = train_edges[picks, 0]
     pos = train_edges[picks, 1]
-    negs = rng.integers(0, table.num_items, size=batch_size)
+    negs = rng.integers(0, n, size=batch_size)
     keep = np.ones(batch_size, dtype=bool)
-    for k in range(batch_size):
+    # Only rows whose first draw hits a train item redraw, in row order.
+    for k in np.flatnonzero(is_owned(users * n + negs)).tolist():
         u = int(users[k])
-        owned = sets[u]
-        if len(owned) >= table.num_items:
+        if np.searchsorted(owned, (u + 1) * n) - np.searchsorted(owned, u * n) >= n:
             if u not in table._warned_saturated:
                 table._warned_saturated.add(u)
                 warnings.warn(f"user {u} interacted with every item; skipped in BPR sampling")
             keep[k] = False
             continue
-        j = int(negs[k])
-        while j in owned:
-            j = int(rng.integers(0, table.num_items))
+        j = int(rng.integers(0, n))
+        while is_owned(u * n + j):
+            j = int(rng.integers(0, n))
         negs[k] = j
     return TripleBatch(users=users[keep], pos_items=pos[keep], neg_items=negs[keep])
 

@@ -22,6 +22,7 @@ __all__ = [
     "SparseGraph",
     "PruneReport",
     "build_knn_graph",
+    "top_k_entries",
     "fuse_graphs",
     "row_neighbors",
     "topological_similarity",
@@ -145,6 +146,24 @@ def row_neighbors(graph, m):
     return np.union1d(cols, np.array([m], dtype=np.int64))
 
 
+def top_k_entries(scores, k):
+    """(rows, cols) of the k largest entries of every row of a 2-D array.
+
+    Ties at the k-th score go to the lower column, so each row keeps
+    exactly the k columns that a stable descending sort puts first
+    (-inf entries included when a row has fewer than k others). The
+    pairs come in row-major order, columns ascending within a row.
+    """
+    n = scores.shape[1]
+    # Every score above the k-th largest, then the lowest-index columns
+    # tied with it until the row holds k.
+    kth = np.partition(scores, n - k, axis=1)[:, [n - k]]
+    above = scores > kth
+    tied = scores == kth
+    room = k - above.sum(axis=1, keepdims=True)
+    return np.nonzero(above | (tied & (np.cumsum(tied, axis=1) <= room)))
+
+
 # The block shape of a BLAS product can move the last bit of a cosine weight,
 # so _GRAM_ROWS stays fixed; _TOPK_ROWS bounds the memory of the selection.
 _GRAM_ROWS = 2048
@@ -174,13 +193,7 @@ def build_knn_graph(features, k, binarize=True):
         gram[np.arange(len(gram)), block + np.arange(len(gram))] = -np.inf
         for lo in range(0, len(gram), _TOPK_ROWS):
             sims = gram[lo:lo + _TOPK_ROWS]
-            # Every score above the k-th largest, then the lowest-index
-            # columns tied with it until the row holds k.
-            kth = np.partition(sims, n - k, axis=1)[:, [n - k]]
-            above = sims > kth
-            tied = sims == kth
-            room = k - above.sum(axis=1, keepdims=True)
-            rows, cols = np.nonzero(above | (tied & (np.cumsum(tied, axis=1) <= room)))
+            rows, cols = top_k_entries(sims, k)
             src.append(block + lo + rows)
             dst.append(cols)
             scores.append(sims[rows, cols])

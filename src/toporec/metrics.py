@@ -11,8 +11,10 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import scipy.sparse as sp
 
 from .data import ROLE_TEST, ROLE_TRAIN, ROLE_VAL
+from .itemgraph import top_k_entries
 
 __all__ = [
     "ranked_list",
@@ -66,7 +68,8 @@ def evaluate(z_users, z_items, table, split, ns=(10, 20), block_size=512):
 
     Train items are always masked; at test time validation items are
     masked as well. Users with no interactions in the split are
-    excluded from the average.
+    excluded from the average. Every value equals what ranked_list,
+    recall_at and ndcg_at give user by user, summed in user order.
     """
     role = {"val": ROLE_VAL, "test": ROLE_TEST}.get(split)
     if role is None:
@@ -74,39 +77,56 @@ def evaluate(z_users, z_items, table, split, ns=(10, 20), block_size=512):
     z_users = np.asarray(z_users)
     z_items = np.asarray(z_items)
     ns = tuple(int(n) for n in ns)
-    top = max(ns)
-    mask_roles = [ROLE_TRAIN] if role == ROLE_VAL else [ROLE_TRAIN, ROLE_VAL]
+    if min(ns) < 1:
+        raise ValueError(f"cutoffs must be >= 1, got {ns}")
+    num_items = table.num_items
+    top = min(max(ns), num_items)
+    edge_users, edge_items = table.edges.T
 
-    users = []
-    relevant = []
-    for u in range(table.num_users):
-        rel = table.items_of(u, role)
-        if len(rel):
-            users.append(u)
-            relevant.append(set(int(i) for i in rel))
-    if not users:
+    # Distinct relevant (user, item) pairs as sorted keys user * num_items + item.
+    in_split = table.roles == role
+    relevant = np.unique(edge_users[in_split] * num_items + edge_items[in_split])
+    users, num_relevant = np.unique(relevant // num_items, return_counts=True)
+    if not len(users):
         raise ValueError(f"split {split!r} has no interactions to evaluate")
+    hidden = np.isin(table.roles, [ROLE_TRAIN] if role == ROLE_VAL else [ROLE_TRAIN, ROLE_VAL])
+    mask = sp.csr_matrix(
+        (np.ones(int(hidden.sum()), dtype=bool), (edge_users[hidden], edge_items[hidden])),
+        shape=(table.num_users, num_items),
+    )
 
-    sums = {("recall", n): 0.0 for n in ns}
-    sums.update({("ndcg", n): 0.0 for n in ns})
+    hits = np.empty((len(users), top), dtype=bool)
     for start in range(0, len(users), block_size):
         chunk = users[start:start + block_size]
         scores = z_users[chunk] @ z_items.T
-        for r, u in enumerate(chunk):
-            row = scores[r]
-            for mrole in mask_roles:
-                hidden = table.items_of(u, mrole)
-                if len(hidden):
-                    row[hidden] = -np.inf
-            available = int(np.isfinite(row).sum())
-            order = np.argsort(-row, kind="stable")[: min(top, available)]
-            rel = relevant[start + r]
-            for n in ns:
-                sums[("recall", n)] += recall_at(order, rel, n)
-                sums[("ndcg", n)] += ndcg_at(order, rel, n)
+        block = mask[chunk]
+        scores[np.repeat(np.arange(len(chunk)), np.diff(block.indptr)), block.indices] = -np.inf
+        # NaN ranks after every item, as in a stable descending sort.
+        np.copyto(scores, -np.inf, where=np.isnan(scores))
+        rows, cols = top_k_entries(scores, top)
+        order = np.lexsort((cols, -scores[rows, cols], rows))
+        ranked = cols[order].reshape(len(chunk), top)
+        # A row ranks only its unmasked items; its tail past them is cut.
+        available = np.isfinite(scores).sum(axis=1, keepdims=True)
+        keys = chunk[:, None] * num_items + ranked
+        found = relevant[np.minimum(np.searchsorted(relevant, keys), len(relevant) - 1)] == keys
+        hits[start:start + len(chunk)] = found & (np.arange(top) < available)
+
+    # Gains from the scalar log2 that ndcg_at uses; cumsum adds position
+    # by position from 0.0, in ndcg_at's order.
+    gains = np.array([1.0 / np.log2(p + 1) for p in range(1, top + 1)])
+    hit_counts = np.cumsum(hits, axis=1)
+    dcg = np.cumsum(np.where(hits, gains, 0.0), axis=1)
+    ideal = np.cumsum(gains)
+    per_user = {f"recall@{n}": hit_counts[:, min(n, top) - 1] / num_relevant for n in ns}
+    for n in ns:
+        per_user[f"ndcg@{n}"] = dcg[:, min(n, top) - 1] / ideal[np.minimum(n, num_relevant) - 1]
     out = {"split": split, "num_users": len(users)}
-    for (metric, n), total in sums.items():
-        out[f"{metric}@{n}"] = float(total / len(users))
+    for key, values in per_user.items():
+        total = 0.0
+        for v in values.tolist():
+            total += v
+        out[key] = total / len(users)
     return out
 
 

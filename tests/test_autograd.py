@@ -116,6 +116,16 @@ def test_gather_rows_gradient_with_repeats():
     w = Tensor(rng.standard_normal((len(idx), 3)))
     err = finite_diff_check(lambda: ag.tsum(ag.mul_const(ag.gather_rows(x, idx), w.values)), [x])
     assert err < TOL
+    # The scatter adds each row's terms in index order, as np.add.at does.
+    idx = rng.integers(0, 40, size=500)
+    for dtype in (np.float32, np.float64):
+        leaf = Tensor(np.zeros((50, 3), dtype=dtype), requires_grad=True)
+        g = rng.standard_normal((len(idx), 3)).astype(dtype)
+        ag.tsum(ag.mul_const(ag.gather_rows(leaf, idx), g)).backward()
+        expected = np.zeros((50, 3), dtype=dtype)
+        np.add.at(expected, idx, g)
+        assert leaf.grad.dtype == dtype
+        assert leaf.grad.tobytes() == expected.tobytes()
     with pytest.raises(ValueError, match="1-D"):
         ag.gather_rows(x, np.zeros((2, 2), dtype=np.int64))
 

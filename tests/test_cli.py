@@ -165,7 +165,7 @@ def test_prune_artifacts(pipeline):
     assert len(lines) == before.num_nodes + 1
 
 
-def test_corrupt_roundtrip(pipeline, tmp_path):
+def test_corrupt_roundtrip(pipeline, tmp_path, capsys):
     _, _, _, graph, _ = pipeline
     out = tmp_path / "noisy.tmg"
     assert _run(["corrupt", "--graph", str(graph), "--out", str(out),
@@ -174,6 +174,9 @@ def test_corrupt_roundtrip(pipeline, tmp_path):
     clean = load_graph(graph)
     assert np.array_equal(noisy.out_degrees(), clean.out_degrees())
     assert not np.array_equal(noisy.indices, clean.indices)
+    # The log counts the rewired edges: noisy (src, dst) pairs not in the input.
+    pairs = [set(zip(g.to_edges()[0].tolist(), g.indices.tolist())) for g in (clean, noisy)]
+    assert f" rewired={len(pairs[1] - pairs[0])} " in capsys.readouterr().err
 
 
 def _tmg2_bytes(tmp_path):

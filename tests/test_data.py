@@ -1,5 +1,7 @@
 """Interaction parsing, splitting, negative sampling, and feature IO."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -133,15 +135,55 @@ def test_split_counts_and_role_edges():
     table = _table(2, 3, [(0, 0), (0, 1), (1, 2)], roles=[0, 1, 2])
     assert table.split_counts() == {"train": 1, "val": 1, "test": 1}
     assert table.role_edges(ROLE_VAL).tolist() == [[0, 1]]
-    assert table.items_of(0, ROLE_TRAIN).tolist() == [0]
-    assert table.items_of(0).tolist() == [0, 1]
+
+
+def _train_sets(table):
+    sets = [set() for _ in range(table.num_users)]
+    for u, i in table.role_edges(ROLE_TRAIN).tolist():
+        sets[u].add(i)
+    return sets
+
+
+def _sample_bpr_row_loop(table, batch_size, rng):
+    # Reference: every row tests and redraws its own negative in turn.
+    train = table.role_edges(ROLE_TRAIN)
+    sets = _train_sets(table)
+    picks = rng.integers(0, len(train), size=batch_size)
+    users, pos = train[picks, 0], train[picks, 1]
+    negs = rng.integers(0, table.num_items, size=batch_size)
+    keep = np.ones(batch_size, dtype=bool)
+    for k in range(batch_size):
+        owned = sets[int(users[k])]
+        if len(owned) >= table.num_items:
+            keep[k] = False
+            continue
+        j = int(negs[k])
+        while j in owned:
+            j = int(rng.integers(0, table.num_items))
+        negs[k] = j
+    return users[keep], pos[keep], negs[keep]
+
+
+def test_sample_bpr_triples_matches_row_loop():
+    rng = np.random.default_rng(5)
+    # Dense rows make most first negatives collide; user 0 owns every item.
+    edges = [(0, i) for i in range(12)]
+    edges += [(u, int(i)) for u in range(1, 9) for i in rng.choice(12, size=u + 2, replace=False)]
+    table = _table(9, 12, edges, roles=[ROLE_TRAIN] * len(edges))
+    for seed in range(5):
+        with pytest.warns(UserWarning, match="every item") if seed == 0 else nullcontext():
+            batch = sample_bpr_triples(table, 300, np.random.default_rng(seed))
+        users, pos, negs = _sample_bpr_row_loop(table, 300, np.random.default_rng(seed))
+        assert np.array_equal(batch.users, users)
+        assert np.array_equal(batch.pos_items, pos)
+        assert np.array_equal(batch.neg_items, negs)
 
 
 def test_sample_bpr_triples_soundness():
     rng = np.random.default_rng(2)
     edges = [(u, i) for u in range(20) for i in rng.choice(30, size=6, replace=False)]
     table = make_split(_table(20, 30, edges), seed=3)
-    sets = table.train_item_sets()
+    sets = _train_sets(table)
     sampler = np.random.default_rng(4)
     for _ in range(20):
         batch = sample_bpr_triples(table, 64, sampler)

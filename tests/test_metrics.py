@@ -203,6 +203,56 @@ def test_evaluate_block_size_invariance():
     assert isinstance(full["ndcg@10"], float)
 
 
+def _reference_evaluate(scores, table, split, ns):
+    # The per-user definition: ranked_list, recall_at and ndcg_at per
+    # user, summed in user order.
+    role = {"val": ROLE_VAL, "test": ROLE_TEST}[split]
+    hide = [ROLE_TRAIN] if split == "val" else [ROLE_TRAIN, ROLE_VAL]
+    users = sorted({int(u) for u, _ in table.role_edges(role)})
+    sums = {(metric, n): 0.0 for metric in ("recall", "ndcg") for n in ns}
+    for u in users:
+        mine = table.edges[:, 0] == u
+        relevant = table.edges[mine & (table.roles == role), 1]
+        masked = table.edges[mine & np.isin(table.roles, hide), 1]
+        ranked = ranked_list(scores[u], masked, max(ns))
+        for n in ns:
+            sums[("recall", n)] += recall_at(ranked, relevant, n)
+            sums[("ndcg", n)] += ndcg_at(ranked, relevant, n)
+    out = {"split": split, "num_users": len(users)}
+    out.update({f"{m}@{n}": float(total / len(users)) for (m, n), total in sums.items()})
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_evaluate_equals_per_user_definition_under_ties(dtype):
+    rng = np.random.default_rng(57)
+    for trial in range(6):
+        num_users, num_items = 40, int(rng.integers(12, 40))
+        edges, roles = [], []
+        for u in range(num_users):
+            # Heavy users leave fewer unmasked items than the largest cutoff.
+            size = int(rng.integers(1, num_items if u % 5 == 0 else 6))
+            edges += [(u, int(i)) for i in rng.choice(num_items, size=size)]
+            roles += rng.choice([ROLE_TRAIN, ROLE_VAL, ROLE_TEST], size=size).tolist()
+        table = InteractionTable(
+            num_users, num_items, [f"u{k}" for k in range(num_users)],
+            [f"i{k}" for k in range(num_items)], np.array(edges), np.array(roles),
+        )
+        # Quantised embeddings, zero rows and -0.0 entries give exact
+        # products with few distinct values, so ties cross every cutoff.
+        z_users = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=(num_users, 2)).astype(dtype)
+        z_items = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(num_items, 2)).astype(dtype)
+        z_items[: trial + 1] = -0.0
+        scores = z_users @ z_items.T
+        ns = (1, 5, 20) if trial % 2 else (3, 50)
+        for split in ("val", "test"):
+            expected = _reference_evaluate(scores, table, split, ns)
+            for block_size in (1, 7, 512):
+                got = evaluate(z_users, z_items, table, split, ns, block_size=block_size)
+                assert got == expected
+                assert list(got) == list(expected)
+
+
 def test_metrics_file_outputs(tmp_path):
     results = {"split": "test", "num_users": 3, "recall@10": 0.5, "ndcg@10": 0.25}
     csv_path = tmp_path / "m.csv"

@@ -419,6 +419,34 @@ def test_joint_loss_value_composition():
     assert joint_loss(bpr, None, 0.0).item() == 0.5
 
 
+def test_float32_step_stays_float32():
+    model, cfg = _model(dtype=np.float32, dropout=0.25)
+    table = _table([(0, 0, 0), (0, 2, 0), (1, 1, 0), (2, 3, 0), (3, 4, 0), (3, 5, 0)])
+    s_ui, s_iu = build_propagation_matrix(table, np.float32)
+    rng = np.random.default_rng(3)
+    features = {
+        "visual": rng.standard_normal((6, 5)).astype(np.float32),
+        "textual": rng.standard_normal((6, 3)).astype(np.float32),
+    }
+    z_u, z_i, h_items = model.forward(features, s_ui, s_iu, train_mode=True, rng=rng)
+    batch = TripleBatch(np.array([0, 1, 3, 3]), np.array([0, 1, 4, 5]), np.array([1, 0, 0, 2]))
+    # Anchor row 2 has no in-batch neighbour, so the NA loss also gathers.
+    weights = np.array([[0, 1, 0, 0], [0.5, 0, 0, 0], [0, 0, 0, 0]], dtype=np.float32)
+    na = neighborhood_alignment_loss(
+        ag.gather_rows(h_items, [0, 2, 3, 5]), [0, 1, 2], weights, temperature=0.2
+    )
+    loss = joint_loss(bpr_loss(z_u, z_i, batch), na, 0.5)
+    loss.backward()
+
+    tape, stack = [], [loss]
+    while stack:
+        node = stack.pop()
+        tape.append(node)
+        stack.extend(parent for parent, _ in node._parents if parent._parents)
+    assert {t.values.dtype for t in tape} == {np.dtype(np.float32)}
+    assert {p.grad.dtype for _, p in model.params.items()} == {np.dtype(np.float32)}
+
+
 def test_eligible_anchor_items():
     g = SparseGraph.from_rows(
         4, [([1], [1.0]), ([], []), ([3], [0.0]), ([0, 1], [0.5, 0.0])]
