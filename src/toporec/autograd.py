@@ -37,10 +37,11 @@ __all__ = [
     "gather_rows",
     "concat_cols",
     "linear",
-    "layer_norm",
+    "encoder_layer",
     "dropout",
     "normalize_rows",
     "row_dot",
+    "weighted_infonce",
     "spmm",
     "finite_diff_check",
 ]
@@ -159,6 +160,32 @@ def _from_op(values, parents):
         out._parents = tracked
         out.requires_grad = True
     return out
+
+
+def _from_joint_op(values, parents, back):
+    """Record one node whose back(g, needs) returns all parents' gradients.
+
+    needs[k] tells whether parent k takes a gradient; back may return
+    None in the other places. back runs once per upstream gradient, and
+    each parent's closure hands out its own part.
+    """
+    needs = tuple(p.requires_grad for p in parents)
+    pending = {}
+
+    def part(k):
+        def fn(g):
+            if pending.get("g") is not g:
+                pending.clear()
+                pending["g"] = g
+                pending.update((j, gj) for j, gj in enumerate(back(g, needs)) if needs[j])
+            out = pending.pop(k)
+            if len(pending) == 1:
+                pending.clear()
+            return out
+
+        return fn
+
+    return _from_op(values, [(p, part(k)) for k, p in enumerate(parents)])
 
 
 def _unbroadcast(g, shape):
@@ -313,33 +340,48 @@ def linear(x, w, b):
     return add(matmul(x, w), b)
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
-    """Per-row normalization followed by an affine map.
+def encoder_layer(x, w, b, gain, bias, eps=1e-5):
+    """Layer norm of tanh(x @ w + b), then an affine map, as one node.
 
-    gain and bias are (1, cols). A constant row normalizes to zeros, so
-    the output there is just the bias.
+    b, gain and bias are (1, cols). Each row of tanh(x @ w + b) is
+    centred and scaled to unit variance; a constant row normalizes to
+    zeros, so the output there is just the bias. The backward gives the
+    gradients of all five inputs in closed form and skips x's product
+    when x takes no gradient.
     """
-    xv = x.values
-    d = xv.shape[1]
-    mu = xv.mean(axis=1, keepdims=True)
-    xc = xv - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.values + bias.values
-    gv = gain.values
+    if x.cols != w.rows:
+        raise ValueError(f"encoder_layer: inner dims differ, {x.shape} @ {w.shape}")
+    xv, wv, gv = x.values, w.values, gain.values
+    d = wv.shape[1]
+    t = xv @ wv
+    t += b.values
+    np.tanh(t, out=t)
+    xhat = t - t.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat)[:, None] / d + eps)
+    xhat *= inv
+    out = xhat * gv
+    out += bias.values
+    # t's buffer now takes what the backward needs of it: tanh' times
+    # the norm's scale.
+    slope = t
+    np.multiply(slope, slope, out=slope)
+    np.subtract(1, slope, out=slope)
+    slope *= inv
 
-    def back_x(g):
-        dxhat = g * gv
-        term = dxhat.mean(axis=1, keepdims=True)
-        term_hat = (dxhat * xhat).mean(axis=1, keepdims=True)
-        return inv * (dxhat - term - xhat * term_hat)
+    def back(g, needs):
+        d_gain = np.einsum("ij,ij->j", g, xhat)[None, :] if needs[3] else None
+        d_bias = g.sum(axis=0, keepdims=True) if needs[4] else None
+        da = g * gv
+        tmp = xhat * (np.einsum("ij,ij->i", da, xhat)[:, None] / d)
+        tmp += da.mean(axis=1, keepdims=True)
+        da -= tmp
+        da *= slope
+        d_x = da @ wv.T if needs[0] else None
+        d_w = xv.T @ da if needs[1] else None
+        d_b = da.sum(axis=0, keepdims=True) if needs[2] else None
+        return d_x, d_w, d_b, d_gain, d_bias
 
-    return _from_op(out, [
-        (x, back_x),
-        (gain, lambda g: (g * xhat).sum(axis=0, keepdims=True)),
-        (bias, lambda g: g.sum(axis=0, keepdims=True)),
-    ])
+    return _from_joint_op(out, (x, w, b, gain, bias), back)
 
 
 def dropout(x, rate, rng, train_mode=True):
@@ -369,6 +411,57 @@ def normalize_rows(x, eps=1e-12):
 def row_dot(a, b):
     """Row-wise inner products, shape (rows, 1)."""
     return tsum(mul(a, b), axis=1)
+
+
+def weighted_infonce(x, anchor_rows, weights, temperature):
+    """Contrastive loss of anchor rows against all rows, weighted positives.
+
+    Rows of x are scaled to unit norm; anchor a is row anchor_rows[a].
+    With E[a, j] = exp(cos(a, j) / temperature), shifted by the row
+    maximum, and the self entry E[a, anchor_rows[a]] set to 0, anchor a
+    scores log(numer_a / denom_a) for numer_a = sum_j weights[a, j] E[a, j]
+    and denom_a = sum_j E[a, j]. The loss is minus the mean score of the
+    anchors whose numer is positive; the others are dropped. Returns None
+    when every anchor drops. For the k kept anchors, the gradient with
+    respect to the logits is -(1/k)(weights * E / numer - E / denom),
+    chained through the row normalization.
+    """
+    xv = x.values
+    dtype = xv.dtype
+    weights = np.asarray(weights, dtype=dtype)
+    anchor_rows = np.asarray(anchor_rows, dtype=np.int64)
+    norms = np.sqrt(np.einsum("ij,ij->i", xv, xv))[:, None]
+    inv = np.where(norms > 1e-12, 1.0 / np.where(norms > 1e-12, norms, 1.0), 0.0)
+    normed = xv * inv
+    scaled = normed[anchor_rows] * dtype.type(1.0 / temperature)
+    e = scaled @ normed.T
+    e -= e.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e[np.arange(len(anchor_rows)), anchor_rows] = 0.0
+    numer = np.einsum("ij,ij->i", e, weights)
+    denom = e.sum(axis=1)
+    kept = numer > 0
+    k = int(np.count_nonzero(kept))
+    if k == 0:
+        return None
+    loss = -(np.log(numer[kept]) - np.log(denom[kept])).sum() / dtype.type(k)
+
+    def back(g):
+        c = g[0, 0] / dtype.type(k)
+        inv_numer = np.zeros_like(numer)
+        inv_denom = np.zeros_like(denom)
+        np.divide(c, numer, out=inv_numer, where=kept)
+        np.divide(c, denom, out=inv_denom, where=kept)
+        # d loss / d logits, where logits = scaled @ normed.T.
+        d_logits = weights * -inv_numer[:, None]
+        d_logits += inv_denom[:, None]
+        d_logits *= e
+        d_normed = d_logits.T @ scaled
+        np.add.at(d_normed, anchor_rows, d_logits @ normed * dtype.type(1.0 / temperature))
+        proj = np.einsum("ij,ij->i", d_normed, normed)[:, None]
+        return inv * (d_normed - normed * proj)
+
+    return _from_op(np.asarray(loss, dtype=dtype).reshape(1, 1), [(x, back)])
 
 
 class SparseMatrix:

@@ -93,6 +93,14 @@ def validate_config(cfg):
         raise ValueError(f"visual_weight must be in [0, 1], got {cfg.visual_weight}")
     if cfg.na_weight < 0:
         raise ValueError(f"na_weight must be non-negative, got {cfg.na_weight}")
+    if cfg.batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
+    if cfg.eval_stride < 1:
+        raise ValueError(f"eval_stride must be >= 1, got {cfg.eval_stride}")
+    if len(cfg.eval_topn) == 0 or min(cfg.eval_topn) < 1:
+        raise ValueError(
+            f"eval_topn must hold at least one cutoff, each >= 1, got {tuple(cfg.eval_topn)}"
+        )
     cfg.numpy_dtype()
 
     checks = [

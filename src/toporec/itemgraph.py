@@ -156,12 +156,18 @@ def top_k_entries(scores, k):
     """
     n = scores.shape[1]
     # Every score above the k-th largest, then the lowest-index columns
-    # tied with it until the row holds k.
+    # tied with it until the row holds k. Only rows with more ties than
+    # room need the running count.
     kth = np.partition(scores, n - k, axis=1)[:, [n - k]]
     above = scores > kth
     tied = scores == kth
-    room = k - above.sum(axis=1, keepdims=True)
-    return np.nonzero(above | (tied & (np.cumsum(tied, axis=1) <= room)))
+    room = k - np.count_nonzero(above, axis=1)
+    over = np.flatnonzero(np.count_nonzero(tied, axis=1) > room)
+    if len(over):
+        crowded = tied[over]
+        tied[over] = crowded & (np.cumsum(crowded, axis=1) <= room[over, None])
+    above |= tied
+    return np.nonzero(above)
 
 
 # The block shape of a BLAS product can move the last bit of a cosine weight,

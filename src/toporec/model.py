@@ -2,15 +2,17 @@
 
 Items are represented as the element-wise sum of a free ID embedding
 and a fused modality encoding. Each modality runs through a small MLP
-(linear, tanh, layer norm, dropout per layer); a linear fuser followed
-by tanh merges the modality outputs. User and item representations are
-then propagated over the normalized interaction graph LightGCN-style
-and summed across layers.
+whose layers are one autograd op each (linear, tanh and layer norm,
+``autograd.encoder_layer``) followed by dropout; a linear fuser
+followed by tanh merges the modality outputs. User and item
+representations are then propagated over the normalized interaction
+graph LightGCN-style and summed across layers.
 
 The alignment loss pulls graph-adjacent items together: for an anchor
 m with in-batch neighbors n it is the negative log of the weighted
 share that edges of m take of the anchor's total similarity mass,
-with cosine similarities and a temperature.
+with cosine similarities and a temperature. It is one autograd op,
+``autograd.weighted_infonce``, whose backward is in closed form.
 """
 
 from __future__ import annotations
@@ -105,10 +107,8 @@ class MultimodalRecommender:
                 f"{self.cfg.modality_dims()[tag]}"
             )
         for layer in range(self.cfg.depth):
-            x = ag.linear(x, self.params[f"{tag}_mlp{layer}_w"], self.params[f"{tag}_mlp{layer}_b"])
-            x = ag.tanh(x)
-            x = ag.layer_norm(
-                x, self.params[f"{tag}_mlp{layer}_gain"], self.params[f"{tag}_mlp{layer}_bias"]
+            x = ag.encoder_layer(
+                x, *(self.params[f"{tag}_mlp{layer}_{p}"] for p in ("w", "b", "gain", "bias"))
             )
             x = ag.dropout(x, self.cfg.dropout, rng, train_mode)
         return x
@@ -211,26 +211,11 @@ def neighborhood_alignment_loss(reps, anchor_rows, anchor_weights, temperature=1
     if (weights < 0).any():
         raise ValueError("alignment weights must be non-negative")
 
-    normed = ag.normalize_rows(reps)
-    sims = ag.matmul(ag.gather_rows(normed, anchor_rows), ag.transpose(normed))
-    logits = ag.scale(sims, 1.0 / temperature)
-    shift = logits.values.max(axis=1, keepdims=True)
-    expd = ag.exp(ag.add_const(logits, -shift))
-
-    self_mask = np.ones_like(weights)
-    self_mask[np.arange(len(anchor_rows)), anchor_rows] = 0.0
-    weights = weights * self_mask
-    numer = ag.tsum(ag.mul_const(expd, weights), axis=1)
-    denom = ag.tsum(ag.mul_const(expd, self_mask), axis=1)
-
-    included = np.flatnonzero(numer.values[:, 0] > 0)
-    if included.size == 0:
+    loss = ag.weighted_infonce(reps, anchor_rows, weights, temperature)
+    if loss is None:
         warnings.warn("no anchor has an in-batch neighbor; alignment loss is 0")
         return Tensor(np.zeros((1, 1), dtype=reps.values.dtype))
-    if included.size < len(anchor_rows):
-        numer = ag.gather_rows(numer, included)
-        denom = ag.gather_rows(denom, included)
-    return ag.neg(ag.tmean(ag.sub(ag.log(numer), ag.log(denom))))
+    return loss
 
 
 def joint_loss(bpr, na, na_weight):

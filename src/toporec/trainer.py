@@ -4,8 +4,11 @@ One epoch is ceil(train_edges / batch_size) sampled BPR batches. The
 model is validated on Recall@20 every `eval_stride` epochs, the best
 checkpoint is restored at the end, and training stops early after
 `patience` validations (`patience * eval_stride` epochs) without
-improvement. All randomness comes from named generator streams spawned
-off the run seed, so reruns with the same config are bit-identical.
+improvement. A validation pass also scores the `eval_topn` cutoffs; the
+best epoch's validation metrics and embeddings are kept, so the test
+pass scores them without a further forward pass. All randomness comes
+from named generator streams spawned off the run seed, so reruns with
+the same config are bit-identical.
 """
 
 from __future__ import annotations
@@ -259,7 +262,15 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
     best_val = -np.inf
     best_epoch = -1
     best_state = None
+    best_z = None
+    val_metrics = {}
     since_best = 0
+    # A validation pass scores the reported cutoffs too, so the best
+    # epoch's metrics and embeddings are kept rather than recomputed.
+    val_cutoffs = tuple(cfg.eval_topn) + ((20,) if 20 not in cfg.eval_topn else ())
+    kept_keys = {"split", "num_users"} | {
+        f"{name}@{n}" for name in ("recall", "ndcg") for n in cfg.eval_topn
+    }
     checkpoint_path = os.path.join(out_dir, "checkpoint.tmc") if out_dir else ""
 
     for epoch in range(cfg.max_epochs):
@@ -267,9 +278,10 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
         na_total = 0.0
         for step in range(steps_per_epoch):
             batch = sample_bpr_triples(table, cfg.batch_size, streams["negatives"])
-            z_u, z_i, h_items = model.forward(
-                features, s_ui, s_iu, train_mode=True, rng=streams["dropout"]
+            h_items, branches = model.encode_items(
+                features, train_mode=True, rng=streams["dropout"], return_branches=True
             )
+            z_u, z_i = model.aggregate(h_items, s_ui, s_iu)
             l_bpr = bpr_loss(z_u, z_i, batch)
             l_na = None
             na_ids = None
@@ -292,10 +304,6 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
                         )
                     ]
                     if cfg.na_on_modalities:
-                        _, branches = model.encode_items(
-                            features, train_mode=True, rng=streams["dropout"],
-                            return_branches=True,
-                        )
                         for tag in sorted(branches):
                             terms.append(
                                 neighborhood_alignment_loss(
@@ -325,13 +333,17 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
         val_n20 = math.nan
         if has_val and epoch % cfg.eval_stride == 0:
             z_users, z_items = model.embeddings(features, s_ui, s_iu)
-            val = evaluate(z_users, z_items, table, "val", ns=(20,))
+            val = evaluate(z_users, z_items, table, "val", ns=val_cutoffs)
             val_r20 = val["recall@20"]
             val_n20 = val["ndcg@20"]
             if val_r20 > best_val:
                 best_val = val_r20
                 best_epoch = epoch
                 best_state = model.params.state_arrays()
+                # Copies: with no LightGCN layer z_users is the user_embed
+                # array, which the optimizer updates in place.
+                best_z = (z_users.copy(), z_items.copy())
+                val_metrics = {k: v for k, v in val.items() if k in kept_keys}
                 since_best = 0
             else:
                 since_best += 1
@@ -354,13 +366,14 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
         os.makedirs(out_dir, exist_ok=True)
         save_checkpoint(checkpoint_path, model.params.state_arrays())
 
-    val_metrics = {}
+    if best_z is None:
+        # No validation pass kept an epoch: score the final weights.
+        best_z = model.embeddings(features, s_ui, s_iu)
+        if has_val:
+            val_metrics = evaluate(*best_z, table, "val", ns=cfg.eval_topn)
     test_metrics = {}
-    z_users, z_items = model.embeddings(features, s_ui, s_iu)
-    if has_val:
-        val_metrics = evaluate(z_users, z_items, table, "val", ns=cfg.eval_topn)
     if has_test:
-        test_metrics = evaluate(z_users, z_items, table, "test", ns=cfg.eval_topn)
+        test_metrics = evaluate(*best_z, table, "test", ns=cfg.eval_topn)
 
     manifest = RunManifest(
         config=cfg.as_dict(),

@@ -141,18 +141,74 @@ def test_concat_cols_gradient():
         ag.concat_cols(_leaf(rng, 3, 2), _leaf(rng, 4, 2))
 
 
-def test_linear_and_layer_norm_gradients():
-    rng = np.random.default_rng(18)
-    x = _leaf(rng, 6, 4)
-    w = _leaf(rng, 4, 3)
-    b = _leaf(rng, 1, 3)
-    gain = Tensor(1.0 + 0.1 * rng.standard_normal((1, 3)), requires_grad=True)
-    bias = _leaf(rng, 1, 3)
-    err = finite_diff_check(
-        lambda: ag.tsum(ag.tanh(ag.layer_norm(ag.linear(x, w, b), gain, bias))),
-        [x, w, b, gain, bias],
-        h=1e-6,
+def _encoder_layer_reference(x, w, b, gain, bias, upstream, eps=1e-5):
+    """linear -> tanh -> layer norm in numpy, and the gradients of
+    sum(out * upstream) by the chain rule through mean and variance."""
+    t = np.tanh(x @ w + b)
+    d = t.shape[1]
+    xc = t - t.mean(axis=1, keepdims=True)
+    var = (xc * xc).mean(axis=1, keepdims=True)
+    std = np.sqrt(var + eps)
+    xhat = xc / std
+    out = xhat * gain + bias
+    g = upstream
+    dxhat = g * gain
+    dvar = -0.5 * (dxhat * xc).sum(axis=1, keepdims=True) / std**3
+    dmu = -(dxhat / std).sum(axis=1, keepdims=True) - 2.0 * dvar * xc.mean(axis=1, keepdims=True)
+    da = (dxhat / std + dvar * 2.0 * xc / d + dmu / d) * (1.0 - t * t)
+    grads = (
+        da @ w.T,
+        x.T @ da,
+        da.sum(axis=0, keepdims=True),
+        (g * xhat).sum(axis=0, keepdims=True),
+        g.sum(axis=0, keepdims=True),
     )
+    return out, grads
+
+
+def _encoder_inputs(rng, rows, d_in, d_out):
+    return [
+        _leaf(rng, rows, d_in),
+        _leaf(rng, d_in, d_out, scale=0.5),
+        _leaf(rng, 1, d_out),
+        _leaf(rng, 1, d_out, scale=0.1, shift=1.0),
+        _leaf(rng, 1, d_out),
+    ]
+
+
+def _rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def test_encoder_layer_matches_numpy_reference():
+    rng = np.random.default_rng(18)
+    inputs = _encoder_inputs(rng, 9, 7, 5)
+    upstream = rng.standard_normal((9, 5))
+    want, want_grads = _encoder_layer_reference(*(t.values for t in inputs), upstream)
+    out = ag.encoder_layer(*inputs)
+    assert _rel_err(out.values, want) < 1e-10
+    ag.tsum(ag.mul_const(out, upstream)).backward()
+    for t, want_grad in zip(inputs, want_grads):
+        assert _rel_err(t.grad, want_grad) < 1e-10
+
+    # An input that takes no gradient gets none; the others are unchanged.
+    x = Tensor(inputs[0].values)
+    for t in inputs[1:]:
+        t.grad = None
+    ag.tsum(ag.mul_const(ag.encoder_layer(x, *inputs[1:]), upstream)).backward()
+    assert x.grad is None
+    for t, want_grad in zip(inputs[1:], want_grads[1:]):
+        assert _rel_err(t.grad, want_grad) < 1e-10
+    with pytest.raises(ValueError, match="inner dims differ"):
+        ag.encoder_layer(inputs[1], *inputs[1:])
+
+
+def test_encoder_layer_gradients():
+    rng = np.random.default_rng(18)
+    inputs = _encoder_inputs(rng, 6, 4, 3)
+    # h=1e-5: one x coordinate's gradient is about 1e-5, where a smaller
+    # step's difference quotient is mostly rounding.
+    err = finite_diff_check(lambda: ag.tsum(ag.tanh(ag.encoder_layer(*inputs))), inputs, h=1e-5)
     assert err < TOL
 
 
@@ -233,16 +289,20 @@ def test_softplus_is_stable_at_extremes():
 
 
 def test_layer_norm_normalizes_and_handles_constant_rows():
+    # With an identity weight and no bias, the layer normalizes tanh(x).
     rng = np.random.default_rng(21)
-    x = Tensor(10.0 * rng.standard_normal((8, 16)))
-    gain = Tensor(np.ones((1, 16)))
-    bias = Tensor(np.zeros((1, 16)))
-    out = ag.layer_norm(x, gain, bias).values
+    x = Tensor(rng.standard_normal((8, 16)))
+    eye, zeros, ones = Tensor(np.eye(16)), Tensor(np.zeros((1, 16))), Tensor(np.ones((1, 16)))
+    out = ag.encoder_layer(x, eye, zeros, ones, zeros).values
+    var = np.tanh(x.values).var(axis=1)
     assert np.abs(out.mean(axis=1)).max() < 1e-10
-    assert np.abs(out.var(axis=1) - 1.0).max() < 1e-6
+    assert np.abs(out.var(axis=1) - var / (var + 1e-5)).max() < 1e-10
 
     const = Tensor(np.full((2, 5), 3.3))
-    shifted = ag.layer_norm(const, Tensor(np.ones((1, 5))), Tensor(np.full((1, 5), 0.25)))
+    shifted = ag.encoder_layer(
+        const, Tensor(np.eye(5)), Tensor(np.zeros((1, 5))), Tensor(np.ones((1, 5))),
+        Tensor(np.full((1, 5), 0.25)),
+    )
     assert np.allclose(shifted.values, 0.25)
 
 

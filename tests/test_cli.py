@@ -232,6 +232,32 @@ def test_train_without_graph_names_missing_steps(pipeline, capsys):
     assert "build-graph" in err and "prune" in err
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--eval-topn", ""], "eval_topn must hold at least one cutoff"),
+        (["--eval-topn", "0,20"], "each >= 1"),
+        (["--batch-size", "0"], "batch_size must be >= 1"),
+        (["--eval-stride", "0"], "eval_stride must be >= 1"),
+    ],
+    ids=["eval-topn-empty", "eval-topn-zero", "batch-size-zero", "eval-stride-zero"],
+)
+def test_train_rejects_bad_settings_before_training(pipeline, tmp_path, capsys, monkeypatch,
+                                                    flags, message):
+    _, _, prep, _, pruned = pipeline
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("fit ran with a bad setting")
+
+    monkeypatch.setattr("toporec.cli.fit", no_training)
+    code = _run(["train", "--prepared", str(prep), "--graph", str(pruned),
+                 "--out", str(tmp_path / "run"), *flags])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_evaluate_ablate(pipeline, capsys):
     root, _, prep, _, pruned = pipeline
     run = root / "run"

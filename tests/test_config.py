@@ -38,6 +38,13 @@ def test_hard_validation_errors():
         validate_config(TrainConfig(na_weight=-0.1))
     with pytest.raises(ValueError, match="dtype"):
         validate_config(TrainConfig(dtype="float16"))
+    with pytest.raises(ValueError, match="batch_size"):
+        validate_config(TrainConfig(batch_size=0))
+    with pytest.raises(ValueError, match="eval_stride"):
+        validate_config(TrainConfig(eval_stride=0))
+    for topn in ((), (0, 20), (10, -1)):
+        with pytest.raises(ValueError, match="eval_topn"):
+            validate_config(TrainConfig(eval_topn=topn))
 
 
 def test_off_grid_values_warn_but_pass():

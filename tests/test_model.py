@@ -395,6 +395,45 @@ def test_alignment_loss_gradient():
     assert err < 1e-6
 
 
+def _composed_alignment_loss(reps, anchor_rows, weights, temperature):
+    """The alignment loss composed from elementary autograd ops."""
+    normed = ag.normalize_rows(reps)
+    sims = ag.matmul(ag.gather_rows(normed, anchor_rows), ag.transpose(normed))
+    logits = ag.scale(sims, 1.0 / temperature)
+    shift = logits.values.max(axis=1, keepdims=True)
+    expd = ag.exp(ag.add_const(logits, -shift))
+    self_mask = np.ones_like(weights)
+    self_mask[np.arange(len(anchor_rows)), anchor_rows] = 0.0
+    numer = ag.tsum(ag.mul_const(expd, weights * self_mask), axis=1)
+    denom = ag.tsum(ag.mul_const(expd, self_mask), axis=1)
+    included = np.flatnonzero(numer.values[:, 0] > 0)
+    numer = ag.gather_rows(numer, included)
+    denom = ag.gather_rows(denom, included)
+    return ag.neg(ag.tmean(ag.sub(ag.log(numer), ag.log(denom))))
+
+
+def test_alignment_loss_matches_composed_ops():
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        batch = int(rng.integers(2, 40))
+        n_anchor = int(rng.integers(1, batch + 1))
+        values = rng.standard_normal((batch, 6)) * rng.uniform(0.1, 10.0)
+        values[rng.random(batch) < 0.1] = 0.0  # zero rows normalize to zero
+        anchor_rows = rng.choice(batch, size=n_anchor, replace=False)
+        # self weights, anchors without neighbours and zero weights included
+        weights = rng.choice([0.0, 0.0, 0.5, 1.0], size=(n_anchor, batch))
+        weights[0, (anchor_rows[0] + 1) % batch] = 1.0
+        temperature = float(rng.choice([0.05, 0.2, 1.0, 3.0]))
+        reps = Tensor(values, requires_grad=True)
+        want = _composed_alignment_loss(reps, anchor_rows, weights, temperature)
+        want.backward()
+        want_grad, reps.grad = reps.grad, None
+        got = neighborhood_alignment_loss(reps, anchor_rows, weights, temperature)
+        got.backward()
+        assert abs(got.item() - want.item()) <= 1e-10 * abs(want.item())
+        assert np.abs(reps.grad - want_grad).max() <= 1e-10 * np.abs(want_grad).max()
+
+
 def test_joint_loss_na_weight_zero_detaches_alignment():
     probe = Tensor(np.full((2, 2), 0.5), requires_grad=True)
     bpr = Tensor(np.array([[1.0]]), requires_grad=True)
@@ -419,7 +458,17 @@ def test_joint_loss_value_composition():
     assert joint_loss(bpr, None, 0.0).item() == 0.5
 
 
-def test_float32_step_stays_float32():
+def test_float32_step_stays_float32(monkeypatch):
+    # Record the outputs of the two fused ops the step runs.
+    fused = {"encoder_layer": [], "weighted_infonce": []}
+    for name, outputs in fused.items():
+        def record(*args, _op=getattr(ag, name), _outputs=outputs):
+            out = _op(*args)
+            _outputs.append(out)
+            return out
+
+        monkeypatch.setattr(ag, name, record)
+
     model, cfg = _model(dtype=np.float32, dropout=0.25)
     table = _table([(0, 0, 0), (0, 2, 0), (1, 1, 0), (2, 3, 0), (3, 4, 0), (3, 5, 0)])
     s_ui, s_iu = build_propagation_matrix(table, np.float32)
@@ -430,20 +479,38 @@ def test_float32_step_stays_float32():
     }
     z_u, z_i, h_items = model.forward(features, s_ui, s_iu, train_mode=True, rng=rng)
     batch = TripleBatch(np.array([0, 1, 3, 3]), np.array([0, 1, 4, 5]), np.array([1, 0, 0, 2]))
-    # Anchor row 2 has no in-batch neighbour, so the NA loss also gathers.
+    # Anchor row 2 has no in-batch neighbour, so the NA loss also drops one.
     weights = np.array([[0, 1, 0, 0], [0.5, 0, 0, 0], [0, 0, 0, 0]], dtype=np.float32)
     na = neighborhood_alignment_loss(
         ag.gather_rows(h_items, [0, 2, 3, 5]), [0, 1, 2], weights, temperature=0.2
     )
     loss = joint_loss(bpr_loss(z_u, z_i, batch), na, 0.5)
-    loss.backward()
 
     tape, stack = [], [loss]
     while stack:
         node = stack.pop()
         tape.append(node)
         stack.extend(parent for parent, _ in node._parents if parent._parents)
+    assert len(fused["encoder_layer"]) == 2 * cfg.depth and fused["weighted_infonce"] == [na]
+    for out in fused["encoder_layer"] + fused["weighted_infonce"]:
+        assert any(node is out for node in tape)
+
+    # Every gradient that flows along the tape is float32 as well.
+    grad_dtypes = set()
+
+    def checked(fn):
+        def wrapper(g):
+            contrib = fn(g)
+            grad_dtypes.add(contrib.dtype)
+            return contrib
+
+        return wrapper
+
+    for node in tape:
+        node._parents = tuple((parent, checked(fn)) for parent, fn in node._parents)
+    loss.backward()
     assert {t.values.dtype for t in tape} == {np.dtype(np.float32)}
+    assert grad_dtypes == {np.dtype(np.float32)}
     assert {p.grad.dtype for _, p in model.params.items()} == {np.dtype(np.float32)}
 
 

@@ -11,12 +11,15 @@ from toporec.config import ConfigWarning, TrainConfig
 from toporec.data import make_split
 from toporec.itemgraph import SparseGraph, graphs_equal
 from toporec.metrics import evaluate
+from toporec.model import build_propagation_matrix
+from toporec.optim import load_checkpoint
 from toporec.synth import make_clustered_dataset
 from toporec.trainer import (
     TrainingAborted,
     VARIANTS,
     ablate,
     build_item_graph,
+    build_model,
     fit,
     rng_streams,
     run_variant,
@@ -272,6 +275,33 @@ def test_fit_alignment_options_rerun_bit_identical(tmp_path, option):
     assert runs[0].epochs == runs[1].epochs
     for name in ("epochs.csv", "checkpoint.tmc"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("gcn_layers", [0, 2])
+@pytest.mark.parametrize("eval_topn", [(10, 20), (5, 15)])
+def test_manifest_metrics_equal_evaluate_of_reloaded_checkpoint(tmp_path, gcn_layers, eval_topn):
+    data = make_clustered_dataset(
+        num_users=60, num_items=80, num_clusters=4, visual_dim=6, textual_dim=4,
+        interactions_low=5, interactions_high=8, seed=1,
+    )
+    data.table = make_split(data.table, seed=1)
+    cfg = _tiny_config(max_epochs=6, gcn_layers=gcn_layers, eval_topn=eval_topn)
+    graph, _, _ = _quiet_graph(cfg, data)
+    manifest = _quiet_fit(cfg, data, na_graph=graph, out_dir=str(tmp_path))
+    # The kept epoch is not the last, so later updates must not reach it.
+    assert manifest.best_epoch < len(manifest.epochs) - 1
+
+    model, features = build_model(
+        cfg, data.table, {"visual": data.features_visual, "textual": data.features_textual}
+    )
+    model.params.load_state(load_checkpoint(str(tmp_path / "checkpoint.tmc")))
+    s_ui, s_iu = build_propagation_matrix(data.table, cfg.numpy_dtype())
+    z_users, z_items = model.embeddings(features, s_ui, s_iu)
+    saved = json.loads((tmp_path / "manifest.json").read_text())
+    for split, key in (("val", "val_metrics"), ("test", "test_metrics")):
+        want = evaluate(z_users, z_items, data.table, split, ns=eval_topn)
+        assert getattr(manifest, key) == want
+        assert saved[key] == want
 
 
 def test_manifest_artifacts(tmp_path):
