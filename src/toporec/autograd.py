@@ -9,6 +9,11 @@ accumulates gradients into the leaf tensors created with
 
 float64 is the dtype for gradient checks, float32 the usual training
 dtype; ops follow the dtype of their inputs.
+
+The module holds the ops the model and trainer call and nothing else.
+Two of them, ``encoder_layer`` and ``weighted_infonce``, are whole
+layers fused into one node with a closed-form backward. Tensors carry
+no arithmetic operators: every op is a module-level function.
 """
 
 from __future__ import annotations
@@ -27,19 +32,14 @@ __all__ = [
     "scale",
     "neg",
     "matmul",
-    "transpose",
-    "exp",
-    "log",
     "tanh",
     "softplus",
     "tsum",
     "tmean",
     "gather_rows",
     "concat_cols",
-    "linear",
     "encoder_layer",
     "dropout",
-    "normalize_rows",
     "row_dot",
     "weighted_infonce",
     "spmm",
@@ -108,28 +108,6 @@ class Tensor:
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad and not self._parents else ""
         return f"Tensor(shape={self.shape}, dtype={self.values.dtype}{flag})"
-
-    # Operator sugar; everything routes through the module-level ops.
-    def __add__(self, other):
-        return add(self, other) if isinstance(other, Tensor) else add_const(self, other)
-
-    def __radd__(self, other):
-        return add_const(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other) if isinstance(other, Tensor) else add_const(self, -np.asarray(other))
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Tensor) else mul_const(self, other)
-
-    def __rmul__(self, other):
-        return mul_const(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _topo_order(root):
@@ -261,20 +239,6 @@ def matmul(a, b):
     ])
 
 
-def transpose(a):
-    return _from_op(a.values.T, [(a, lambda g: g.T)])
-
-
-def exp(a):
-    out = np.exp(a.values)
-    return _from_op(out, [(a, lambda g: g * out)])
-
-
-def log(a):
-    av = a.values
-    return _from_op(np.log(av), [(a, lambda g: g / av)])
-
-
 def tanh(a):
     out = np.tanh(a.values)
     return _from_op(out, [(a, lambda g: g * (1.0 - out * out))])
@@ -336,10 +300,6 @@ def concat_cols(a, b):
     ])
 
 
-def linear(x, w, b):
-    return add(matmul(x, w), b)
-
-
 def encoder_layer(x, w, b, gain, bias, eps=1e-5):
     """Layer norm of tanh(x @ w + b), then an affine map, as one node.
 
@@ -392,20 +352,6 @@ def dropout(x, rate, rng, train_mode=True):
         return x
     mask = (rng.random(x.shape) >= rate).astype(x.values.dtype) / (1.0 - rate)
     return _from_op(x.values * mask, [(x, lambda g: g * mask)])
-
-
-def normalize_rows(x, eps=1e-12):
-    """Scale every row to unit L2 norm; all-zero rows stay zero."""
-    xv = x.values
-    norms = np.sqrt((xv * xv).sum(axis=1, keepdims=True))
-    inv = np.where(norms > eps, 1.0 / np.where(norms > eps, norms, 1.0), 0.0)
-    out = xv * inv
-
-    def back(g):
-        proj = (g * out).sum(axis=1, keepdims=True)
-        return inv * (g - out * proj)
-
-    return _from_op(out, [(x, back)])
 
 
 def row_dot(a, b):

@@ -125,7 +125,7 @@ def cmd_build_graph(args):
     cfg = _resolve(args)
     _, fv, ft = load_prepared(args.prepared)
     graph, _, _ = build_item_graph(replace(cfg, prune_mode="none"), fv, ft)
-    save_graph(args.out, graph, binary=args.binary)
+    save_graph(args.out, graph)
     _log(event="build_graph", nodes=graph.num_nodes, edges=graph.nnz, out=args.out)
     return 0
 
@@ -133,7 +133,7 @@ def cmd_build_graph(args):
 def cmd_prune(args):
     graph = load_graph(_require(args.graph, "graph file", "build-graph"))
     pruned, report = tps_prune(graph, args.k)
-    save_graph(args.out, pruned, binary=args.binary)
+    save_graph(args.out, pruned)
     if args.report:
         report.to_csv(args.report)
     _log(
@@ -149,7 +149,7 @@ def cmd_prune(args):
 def cmd_corrupt(args):
     graph = load_graph(_require(args.graph, "graph file", "build-graph"))
     noisy = corrupt_graph(graph, args.eps, args.seed)
-    save_graph(args.out, noisy, binary=args.binary)
+    save_graph(args.out, noisy)
     # Rows are re-sorted after rewiring, so count the new (src, dst) pairs.
     src, dst, _ = graph.to_edges()
     noisy_src, noisy_dst, _ = noisy.to_edges()
@@ -277,7 +277,6 @@ def build_parser():
     p = sub.add_parser("build-graph", help="build (and fuse) modality kNN graphs")
     p.add_argument("--prepared", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--binary", action="store_true", help="write binary CSR instead of text")
     p.add_argument("--config")
     _add_train_flags(p)
     p.set_defaults(func=cmd_build_graph)
@@ -287,7 +286,6 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--report", help="write per-node prune stats CSV here")
-    p.add_argument("--binary", action="store_true")
     p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("corrupt", help="randomly rewire a fraction of edges")
@@ -295,7 +293,6 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--binary", action="store_true")
     p.set_defaults(func=cmd_corrupt)
 
     p = sub.add_parser("train", help="train one model")

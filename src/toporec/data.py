@@ -26,6 +26,7 @@ __all__ = [
     "load_interactions",
     "make_split",
     "sample_bpr_triples",
+    "read_exact",
     "load_features",
     "save_features",
     "dataset_stats",
@@ -276,23 +277,37 @@ def save_features(path, features):
         fh.write(features.values.astype("<f4", copy=False).tobytes(order="C"))
 
 
+def read_exact(fh, size, path, what):
+    """The next size bytes of a binary file; a ValueError naming the file
+    and the byte offset when the file ends first."""
+    start = fh.tell()
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(
+            f"{path}: truncated at byte {start}: the {what} needs {size} bytes, "
+            f"{len(data)} remain"
+        )
+    return data
+
+
 def load_features(path, modality, expected_rows=None):
     """Load CSV or TMF1 features; validates shape and finiteness."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic == _FEAT_MAGIC:
-            rows, cols, tag_len = struct.unpack("<IIB", fh.read(9))
-            tag = fh.read(tag_len).decode("utf-8")
+            rows, cols, tag_len = struct.unpack("<IIB", read_exact(fh, 9, path, "TMF1 header"))
+            tag = read_exact(fh, tag_len, path, "modality tag").decode("utf-8")
             if tag != modality:
                 raise ValueError(
                     f"{path}: file holds {tag!r} features, expected {modality!r}"
                 )
-            payload = fh.read(rows * cols * 4)
-            if len(payload) != rows * cols * 4:
-                raise ValueError(f"{path}: truncated feature payload")
+            payload = read_exact(fh, rows * cols * 4, path, "feature payload")
             values = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).copy()
         else:
-            values = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+            try:
+                values = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
             values = values.astype(np.float32)
     if expected_rows is not None and values.shape[0] != expected_rows:
         raise ValueError(
@@ -376,6 +391,7 @@ def load_prepared(prepared_dir):
         )
     user_tokens = _load_map(os.path.join(prepared_dir, "user_map.txt"))
     item_tokens = _load_map(os.path.join(prepared_dir, "item_map.txt"))
+    num_users, num_items = len(user_tokens), len(item_tokens)
     edges = []
     roles = []
     with open(split_path, "r", encoding="utf-8") as fh:
@@ -385,11 +401,21 @@ def load_prepared(prepared_dir):
                 continue
             if len(parts) != 3 or parts[2] not in _ROLE_BY_NAME:
                 raise ValueError(f"{split_path}:{lineno}: expected 'user item role'")
-            edges.append((int(parts[0]), int(parts[1])))
+            try:
+                u, i = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ValueError(f"{split_path}:{lineno}: ids must be integers") from None
+            if not (0 <= u < num_users and 0 <= i < num_items):
+                raise ValueError(
+                    f"{split_path}:{lineno}: user {u} or item {i} is outside the "
+                    f"{num_users} users of user_map.txt and the {num_items} items "
+                    "of item_map.txt"
+                )
+            edges.append((u, i))
             roles.append(_ROLE_BY_NAME[parts[2]])
     table = InteractionTable(
-        num_users=len(user_tokens),
-        num_items=len(item_tokens),
+        num_users=num_users,
+        num_items=num_items,
         user_tokens=user_tokens,
         item_tokens=item_tokens,
         edges=np.array(edges, dtype=np.int64),

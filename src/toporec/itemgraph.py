@@ -12,7 +12,6 @@ a node drawn uniformly from the vertex set.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +65,8 @@ class SparseGraph:
             self.indices.min() < 0 or self.indices.max() >= self.num_nodes
         ):
             raise ValueError("column index out of range")
-        if (self.weights < 0).any():
-            raise ValueError("edge weights must be non-negative")
+        if not np.isfinite(self.weights).all() or (self.weights < 0).any():
+            raise ValueError("edge weights must be finite and non-negative")
         # Columns rise within a row; only a row's first entry may step down.
         bad = np.flatnonzero(np.diff(self.indices) <= 0) + 1
         bad = bad[~np.isin(bad, self.indptr)]
@@ -367,66 +366,49 @@ def corrupt_graph(graph, eps, seed):
     return SparseGraph.from_edges(n, src, dst, w)
 
 
-_GRAPH_MAGIC_BIN = b"TMG2"
-
-
-def save_graph(path, graph, binary=False):
-    """Write TMG1 (text edge list) or TMG2 (binary CSR)."""
-    if binary:
-        with open(path, "wb") as fh:
-            fh.write(_GRAPH_MAGIC_BIN)
-            fh.write(struct.pack("<IQ", graph.num_nodes, graph.nnz))
-            fh.write(graph.indptr.astype("<i8").tobytes())
-            fh.write(graph.indices.astype("<i8").tobytes())
-            fh.write(graph.weights.astype("<f8").tobytes())
-        return
+def save_graph(path, graph):
+    """Write a TMG1 file: a `TMG1 <nodes> <edges>` header, then one
+    `src dst weight` line per edge in row-major order."""
     src, dst, w = graph.to_edges()
+    body = "".join(
+        f"{s} {d} {wt:.17g}\n" for s, d, wt in zip(src.tolist(), dst.tolist(), w.tolist())
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"TMG1 {graph.num_nodes} {graph.nnz}\n")
-        for s, d, wt in zip(src, dst, w):
-            fh.write(f"{s} {d} {wt:.17g}\n")
+        fh.write(f"TMG1 {graph.num_nodes} {graph.nnz}\n{body}")
 
 
 def load_graph(path):
-    """Read a TMG1 or TMG2 file; a malformed one raises a ValueError naming it."""
+    """Read a TMG1 file; a malformed one raises a ValueError naming it."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        if data[:4] == _GRAPH_MAGIC_BIN:
-            return _parse_tmg2(data[4:])
-        return _parse_tmg1(iter(data.decode("utf-8").splitlines()))
+        return _parse_tmg1(data)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _parse_tmg2(data):
-    if len(data) < 12:
-        raise ValueError(f"TMG2 header needs 12 bytes after the magic, got {len(data)}")
-    num_nodes, nnz = struct.unpack_from("<IQ", data)
-    need = 12 + (num_nodes + 1 + 2 * nnz) * 8
-    if len(data) != need:
-        raise ValueError(
-            f"TMG2 data of {num_nodes} nodes and {nnz} edges needs {need} bytes "
-            f"after the magic, got {len(data)}"
-        )
-    ints = np.frombuffer(data, dtype="<i8", count=num_nodes + 1 + nnz, offset=12).copy()
-    weights = np.frombuffer(data, dtype="<f8", offset=12 + ints.nbytes).copy()
-    return SparseGraph(num_nodes, ints[:num_nodes + 1], ints[num_nodes + 1:], weights).validate()
-
-
-def _parse_tmg1(lines):
-    header = next(lines, "").split()
-    if len(header) != 3 or header[0] != "TMG1":
-        raise ValueError("not a graph file (expected TMG1 or TMG2 header)")
+def _parse_tmg1(data):
+    head, _, body = data.partition(b"\n")
+    header = head.split()
+    if len(header) != 3 or header[0] != b"TMG1":
+        raise ValueError("not a graph file (expected a TMG1 header)")
     num_nodes, nnz = int(header[1]), int(header[2])
-    src = np.empty(nnz, dtype=np.int64)
-    dst = np.empty(nnz, dtype=np.int64)
-    w = np.empty(nnz)
-    for e in range(nnz):
-        parts = next(lines, "").split()
-        if len(parts) != 3:
-            raise ValueError(f"edge line {e + 1} malformed")
-        src[e], dst[e], w[e] = int(parts[0]), int(parts[1]), float(parts[2])
+    if num_nodes < 0 or nnz < 0:
+        raise ValueError(f"header counts must be >= 0, got {num_nodes} nodes and {nnz} edges")
+    # Edge line e is lines[e - 1]; what follows the nnz-th line break is the rest.
+    lines = body.split(b"\n", nnz)
+    rest = lines.pop() if len(lines) > nnz else b""
+    sizes = np.fromiter(map(len, map(bytes.split, lines)), dtype=np.int64, count=len(lines))
+    bad = np.flatnonzero(sizes != 3)
+    if bad.size or len(lines) < nnz:
+        raise ValueError(f"edge line {(bad[0] if bad.size else len(lines)) + 1} malformed")
+    extra = next((e for e, line in enumerate(rest.split(b"\n")) if line.strip()), None)
+    if extra is not None:
+        raise ValueError(f"edge line {nnz + 1 + extra}: the header declares only {nnz} edges")
+    tokens = body[:len(body) - len(rest)].split()
+    src = np.array(tokens[0::3], dtype=np.int64)
+    dst = np.array(tokens[1::3], dtype=np.int64)
+    w = np.array(tokens[2::3], dtype=np.float64)
     outside = np.flatnonzero((src < 0) | (src >= num_nodes) | (dst < 0) | (dst >= num_nodes))
     if outside.size:
         e = outside[0]

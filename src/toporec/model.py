@@ -128,7 +128,7 @@ class MultimodalRecommender:
                 branches[tag] = self._encode_modality(tag, features[tag], train_mode, rng)
         parts = [branches[tag] for tag in _MODALITIES if tag in branches]
         merged = parts[0] if len(parts) == 1 else ag.concat_cols(parts[0], parts[1])
-        fused = ag.tanh(ag.linear(merged, self.params["fuser_w"], self.params["fuser_b"]))
+        fused = ag.tanh(ag.add(ag.matmul(merged, self.params["fuser_w"]), self.params["fuser_b"]))
         if return_branches:
             return fused, branches
         return fused

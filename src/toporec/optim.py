@@ -7,6 +7,7 @@ import struct
 import numpy as np
 
 from .autograd import Tensor
+from .data import read_exact
 
 __all__ = [
     "ParamStore",
@@ -143,19 +144,17 @@ def load_checkpoint(path):
         magic = fh.read(4)
         if magic != _CKPT_MAGIC:
             raise ValueError(f"{path}: not a TMC1 checkpoint (magic {magic!r})")
-        version, count = struct.unpack("<HI", fh.read(6))
+        version, count = struct.unpack("<HI", read_exact(fh, 6, path, "TMC1 header"))
         if version != 1:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         out = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            code, rows, cols = struct.unpack("<BII", fh.read(9))
+            (name_len,) = struct.unpack("<H", read_exact(fh, 2, path, "array name length"))
+            name = read_exact(fh, name_len, path, "array name").decode("utf-8")
+            code, rows, cols = struct.unpack("<BII", read_exact(fh, 9, path, f"header of {name!r}"))
             if code not in _CODE_DTYPES:
                 raise ValueError(f"{path}: unknown dtype code {code} for {name!r}")
             dtype = _CODE_DTYPES[code]
-            payload = fh.read(rows * cols * dtype.itemsize)
-            if len(payload) != rows * cols * dtype.itemsize:
-                raise ValueError(f"{path}: truncated payload for {name!r}")
+            payload = read_exact(fh, rows * cols * dtype.itemsize, path, f"payload of {name!r}")
             out[name] = np.frombuffer(payload, dtype=dtype).reshape(rows, cols).copy()
     return out

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import shutil
+import struct
 import warnings
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from toporec.cli import main
 from toporec.config import ConfigWarning
 from toporec.data import load_prepared
-from toporec.itemgraph import SparseGraph, load_graph, save_graph
+from toporec.itemgraph import load_graph
 from toporec.synth import make_clustered_dataset
 
 
@@ -179,28 +181,45 @@ def test_corrupt_roundtrip(pipeline, tmp_path, capsys):
     assert f" rewired={len(pairs[1] - pairs[0])} " in capsys.readouterr().err
 
 
-def _tmg2_bytes(tmp_path):
-    """A 3-node TMG2 file with two edges: the magic, then 12 + 64 bytes."""
-    path = tmp_path / "ok.tmgb"
-    graph = SparseGraph.from_rows(3, [([1, 2], [1.0, 0.5]), ([], []), ([], [])])
-    save_graph(path, graph, binary=True)
-    return path.read_bytes()
+def _tmg2_bytes():
+    """A 3-node, 2-edge graph in the retired binary TMG2 layout: the magic,
+    node and edge counts, then the CSR arrays."""
+    arrays = np.array([0, 2, 2, 2, 1, 2], dtype="<i8").tobytes()
+    return b"TMG2" + struct.pack("<IQ", 3, 2) + arrays + np.array([1.0, 0.5], "<f8").tobytes()
+
+
+NOT_A_GRAPH = "not a graph file (expected a TMG1 header)"
 
 
 @pytest.mark.parametrize("content, message", [
-    (lambda tmp: b"TMG1 3 2\n0 1 1.0\n-1 1 1.0\n", "edge line 2: -1 -> 1 is outside 3 nodes"),
-    (lambda tmp: b"TMG1 3 2\n5 1 1.0\n0 2 1.0\n", "edge line 1: 5 -> 1 is outside 3 nodes"),
-    (lambda tmp: _tmg2_bytes(tmp)[:10], "header needs 12 bytes after the magic, got 6"),
-    (lambda tmp: _tmg2_bytes(tmp)[:-8], "needs 76 bytes after the magic, got 68"),
-], ids=["tmg1-negative-source", "tmg1-source-past-end", "tmg2-short-header", "tmg2-short-body"])
+    (b"TMG1 3 2\n0 1 1.0\n-1 1 1.0\n", "edge line 2: -1 -> 1 is outside 3 nodes"),
+    (b"TMG1 3 2\n5 1 1.0\n0 2 1.0\n", "edge line 1: 5 -> 1 is outside 3 nodes"),
+    (_tmg2_bytes()[:10], NOT_A_GRAPH),
+    (_tmg2_bytes()[:-8], NOT_A_GRAPH),
+    (b"TMG1 3 1\n0 1 nan\n", "edge weights must be finite and non-negative"),
+    (b"TMG1 3 1\n0 1 inf\n", "edge weights must be finite and non-negative"),
+    (b"TMG1 3 1\n0 1 1.0\n0 2 1.0\n", "edge line 2: the header declares only 1 edges"),
+], ids=["tmg1-negative-source", "tmg1-source-past-end", "tmg2-short-header", "tmg2-short-body",
+        "tmg1-nan-weight", "tmg1-inf-weight", "tmg1-edge-past-count"])
 def test_bad_graph_file_fails_with_error_line_naming_it(tmp_path, capsys, content, message):
     bad = tmp_path / "bad.tmg"
-    bad.write_bytes(content(tmp_path))
+    bad.write_bytes(content)
     out = tmp_path / "out.tmg"
     assert _run(["prune", "--graph", str(bad), "--out", str(out), "--k", "1"]) == 1
     err = capsys.readouterr().err
     assert f"error: {bad}: " in err and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-graph", "--prepared", "p", "--out", "o"],
+    ["prune", "--graph", "g", "--out", "o"],
+    ["corrupt", "--graph", "g", "--out", "o", "--eps", "0.1"],
+], ids=["build-graph", "prune", "corrupt"])
+def test_graph_commands_have_no_binary_flag(argv, capsys):
+    with pytest.raises(SystemExit):
+        _run([*argv, "--binary"])
+    assert "unrecognized arguments: --binary" in capsys.readouterr().err
 
 
 def test_train_writes_manifest_once(pipeline, tmp_path, monkeypatch):
@@ -367,6 +386,18 @@ def test_evaluate_rejects_manifest_without_config(trained, tmp_path, capsys):
     assert _run(["evaluate", "--run", str(run)]) == 1
     err = capsys.readouterr().err
     assert f"error: {run / 'manifest.json'}: not a run manifest" in err
+
+
+def test_evaluate_reports_cut_checkpoint(trained, tmp_path, capsys):
+    run = tmp_path / "cut_run"
+    run.mkdir()
+    shutil.copy(trained / "manifest.json", run / "manifest.json")
+    ckpt = run / "checkpoint.tmc"
+    ckpt.write_bytes((trained / "checkpoint.tmc").read_bytes()[:20])
+    capsys.readouterr()
+    assert _run(["evaluate", "--run", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {ckpt}: truncated at byte " in err
 
 
 def test_ablate_rejects_unknown_variant(pipeline, capsys):

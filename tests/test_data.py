@@ -1,5 +1,6 @@
 """Interaction parsing, splitting, negative sampling, and feature IO."""
 
+import re
 from contextlib import nullcontext
 
 import numpy as np
@@ -261,6 +262,24 @@ def test_features_roundtrip_and_errors(tmp_path):
         load_features(short, "visual")
 
 
+@pytest.mark.filterwarnings("ignore:loadtxt:UserWarning")
+def test_features_cut_at_every_length_fail_naming_the_file(tmp_path):
+    path = tmp_path / "v.tmf"
+    save_features(path, FeatureMatrix("visual", np.ones((3, 2), dtype=np.float32)))
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.tmf"
+    for size in range(len(blob)):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(ValueError, match=re.escape(str(cut))) as info:
+            load_features(cut, "visual", expected_rows=3)
+        if size >= 4:
+            assert "truncated at byte" in str(info.value)
+    # Cut inside the tag: the tag is reported short, not as another modality.
+    cut.write_bytes(blob[:15])
+    with pytest.raises(ValueError, match="byte 13: the modality tag needs 6 bytes, 2 remain"):
+        load_features(cut, "visual")
+
+
 def test_features_reject_non_finite(tmp_path):
     vals = np.ones((4, 2), dtype=np.float32)
     vals[2, 1] = np.inf
@@ -306,6 +325,27 @@ def test_save_and_load_prepared_roundtrip(tmp_path):
     assert np.array_equal(table2.roles, table.roles)
     assert np.array_equal(fv2.values, fv.values)
     assert np.array_equal(ft2.values, ft.values)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("6 0 train", "user 6 or item 0 is outside the 6 users .* 9 items"),
+    ("-1 0 train", "user -1 or item 0 is outside"),
+    ("0 9 val", "user 0 or item 9 is outside"),
+    ("0 -2 test", "user 0 or item -2 is outside"),
+    ("u0 1 train", "ids must be integers"),
+], ids=["user-past-end", "negative-user", "item-past-end", "negative-item", "non-integer"])
+def test_load_prepared_rejects_bad_ids_naming_the_line(tmp_path, line, message):
+    table = make_split(_table(6, 9, [(u, u) for u in range(6)]), seed=1)
+    rng = np.random.default_rng(0)
+    fv = FeatureMatrix("visual", rng.standard_normal((9, 3)).astype(np.float32))
+    ft = FeatureMatrix("textual", rng.standard_normal((9, 2)).astype(np.float32))
+    out = tmp_path / "prep"
+    save_prepared(out, table, fv, ft)
+    split = out / "split.txt"
+    lines = split.read_text().splitlines()
+    split.write_text("\n".join(lines[:2] + ["", line] + lines[2:]) + "\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(split))}:4: {message}"):
+        load_prepared(out)
 
 
 def test_load_prepared_requires_prepare_run(tmp_path):

@@ -41,8 +41,9 @@ def test_sparse_graph_validation():
         SparseGraph(2, [0, 1, 3], [1, 0], [1.0, 1.0]).validate()
     with pytest.raises(ValueError, match="out of range"):
         SparseGraph(2, [0, 1, 2], [1, 5], [1.0, 1.0]).validate()
-    with pytest.raises(ValueError, match="non-negative"):
-        SparseGraph(2, [0, 1, 2], [1, 0], [1.0, -1.0]).validate()
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            SparseGraph(2, [0, 1, 2], [1, 0], [1.0, bad]).validate()
     with pytest.raises(ValueError, match="unsorted or duplicate"):
         SparseGraph(2, [0, 2, 2], [1, 1], [1.0, 1.0]).validate()
 
@@ -396,28 +397,59 @@ def test_corrupt_graph_degenerate_row_keeps_edge():
         corrupt_graph(g, 1.5, 0)
 
 
-def test_graph_io_text_and_binary(tmp_path):
+def test_graph_io_round_trip(tmp_path):
     rng = np.random.default_rng(44)
     g = dense_to_graph(random_graph(rng, 25, 5, weight_choices=(0.1, 1 / 3, 0.9)))
     text = tmp_path / "g.tmg"
     save_graph(text, g)
     assert graphs_equal(load_graph(text), g)
 
-    binary = tmp_path / "g.tmgb"
-    save_graph(binary, g, binary=True)
-    assert graphs_equal(load_graph(binary), g)
-
     empty = SparseGraph.from_rows(4, [([], [])] * 4)
     save_graph(tmp_path / "e.tmg", empty)
     assert graphs_equal(load_graph(tmp_path / "e.tmg"), empty)
 
 
+def test_graph_file_is_header_then_one_line_per_edge(tmp_path):
+    g = SparseGraph.from_rows(3, [([2, 1], [0.1, 1 / 3]), ([], []), ([0], [1.0])])
+    path = tmp_path / "g.tmg"
+    save_graph(path, g)
+    assert path.read_text() == (
+        "TMG1 3 3\n0 1 0.33333333333333331\n0 2 0.10000000000000001\n2 0 1\n"
+    )
+    # Blank lines after the last edge, a missing final newline and CRLF
+    # line ends all load.
+    for body in ("0 1 0.5\n\n  \n", "0 1 0.5", "0 1 0.5\r\n"):
+        path.write_text("TMG1 3 1\n" + body)
+        assert load_graph(path).weights.tolist() == [0.5]
+
+
 def test_graph_io_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.tmg"
     bad.write_text("WHAT 3 1\n0 1 1.0\n")
-    with pytest.raises(ValueError, match="TMG1 or TMG2"):
+    with pytest.raises(ValueError, match="expected a TMG1 header"):
         load_graph(bad)
     short = tmp_path / "short.tmg"
     short.write_text("TMG1 3 2\n0 1 1.0\n0 2\n")
     with pytest.raises(ValueError, match="line 2"):
         load_graph(short)
+    shifted = tmp_path / "shifted.tmg"
+    shifted.write_text("TMG1 3 2\n0 1 1.0 0\n2 1.0\n")
+    with pytest.raises(ValueError, match="edge line 1 malformed"):
+        load_graph(shifted)
+    missing = tmp_path / "missing.tmg"
+    missing.write_text("TMG1 3 3\n0 1 1.0\n0 2 1.0\n")
+    with pytest.raises(ValueError, match="edge line 3 malformed"):
+        load_graph(missing)
+    extra = tmp_path / "extra.tmg"
+    extra.write_text("TMG1 3 1\n0 1 1.0\n\n0 2 1.0\n")
+    with pytest.raises(ValueError, match="edge line 3: the header declares only 1 edges"):
+        load_graph(extra)
+    negative = tmp_path / "negative.tmg"
+    negative.write_text("TMG1 3 -1\n")
+    with pytest.raises(ValueError, match="header counts must be >= 0"):
+        load_graph(negative)
+    # A binary file with another magic fails on the header, before any decoding.
+    binary = tmp_path / "g.tmgb"
+    binary.write_bytes(b"TMG2" + bytes(range(250, 256)) * 4)
+    with pytest.raises(ValueError, match=f"{binary}: not a graph file"):
+        load_graph(binary)

@@ -1,5 +1,7 @@
 """Adam, the parameter store, and checkpoint serialization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,22 @@ def test_checkpoint_rejects_garbage(tmp_path):
     versioned.write_bytes(blob[:4] + b"\x09\x00" + blob[6:])
     with pytest.raises(ValueError, match="version"):
         load_checkpoint(versioned)
+
+
+def test_checkpoint_cut_at_every_length_fails_naming_the_file(tmp_path):
+    good = tmp_path / "good.tmc"
+    save_checkpoint(good, {"w": np.ones((2, 2), dtype=np.float32), "deep é": np.zeros((1, 1))})
+    blob = good.read_bytes()
+    cut = tmp_path / "cut.tmc"
+    for size in range(len(blob)):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(ValueError, match=re.escape(str(cut))) as info:
+            load_checkpoint(cut)
+        if size >= 4:
+            assert "truncated at byte" in str(info.value)
+    cut.write_bytes(blob[:10])
+    with pytest.raises(ValueError, match="byte 10: the array name length needs 2 bytes, 0 remain"):
+        load_checkpoint(cut)
 
 
 def test_checkpoint_through_param_store(tmp_path):
