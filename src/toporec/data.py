@@ -27,6 +27,7 @@ __all__ = [
     "make_split",
     "sample_bpr_triples",
     "read_exact",
+    "read_end",
     "load_features",
     "save_features",
     "dataset_stats",
@@ -290,6 +291,15 @@ def read_exact(fh, size, path, what):
     return data
 
 
+def read_end(fh, path):
+    """Check that a binary file ends at the current position; a ValueError
+    naming the file and the byte offset when more bytes follow."""
+    end = fh.tell()
+    extra = len(fh.read())
+    if extra:
+        raise ValueError(f"{path}: {extra} bytes follow the last payload, from byte {end}")
+
+
 def load_features(path, modality, expected_rows=None):
     """Load CSV or TMF1 features; validates shape and finiteness."""
     with open(path, "rb") as fh:
@@ -302,6 +312,7 @@ def load_features(path, modality, expected_rows=None):
                     f"{path}: file holds {tag!r} features, expected {modality!r}"
                 )
             payload = read_exact(fh, rows * cols * 4, path, "feature payload")
+            read_end(fh, path)
             values = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).copy()
         else:
             try:
@@ -346,12 +357,23 @@ def _save_map(path, tokens):
 
 
 def _load_map(path):
+    """Tokens of an `<id> <token>` map file, whose ids run 0, 1, 2, ...
+    in file order."""
     tokens = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             parts = line.split(maxsplit=1)
             if not parts:
                 continue
+            try:
+                idx = int(parts[0])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: id {parts[0]!r} is not an integer") from None
+            if idx != len(tokens):
+                raise ValueError(
+                    f"{path}:{lineno}: id {idx} where id {len(tokens)} is due; "
+                    "ids must run 0, 1, 2, ... in file order"
+                )
             tokens.append(parts[1].strip() if len(parts) > 1 else "")
     return tokens
 

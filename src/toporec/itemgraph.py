@@ -169,10 +169,25 @@ def top_k_entries(scores, k):
     return np.nonzero(above)
 
 
-# The block shape of a BLAS product can move the last bit of a cosine weight,
-# so _GRAM_ROWS stays fixed; _TOPK_ROWS bounds the memory of the selection.
+# The Gram matrix is computed in _GRAM_ROWS x _GRAM_ROWS blocks, each pair
+# of row blocks once, so every cosine comes from one product and is the same
+# number for (m, n) and (n, m). The block shape of a BLAS product can move
+# the last bit of a cosine weight, so _GRAM_ROWS stays fixed. _TOPK_ROWS
+# bounds the memory of the selection.
 _GRAM_ROWS = 2048
 _TOPK_ROWS = 512
+
+
+def _c_contiguous(a):
+    """`a` itself, or a C-contiguous copy of a transposed view made 64
+    columns at a time: those are 64 source rows, which span few memory
+    pages, where one pass over all columns is about twice as slow."""
+    if a.flags.c_contiguous:
+        return a
+    out = np.empty(a.shape)
+    for lo in range(0, a.shape[1], 64):
+        out[:, lo:lo + 64] = a[:, lo:lo + 64]
+    return out
 
 
 def build_knn_graph(features, k, binarize=True):
@@ -182,6 +197,11 @@ def build_knn_graph(features, k, binarize=True):
     lower item index. All-zero feature rows have zero similarity to
     everything. With binarize=False edges carry the cosine value clipped
     at zero instead of weight 1.
+
+    Each cosine is computed once, for the pair of row blocks that holds
+    it, so the weights of (m, n) and (n, m) are equal to the last bit.
+    Every block proposes its k best columns for each row; the k best of
+    those under the same order are exactly the row's k best overall.
     """
     values = features.values if hasattr(features, "values") else np.asarray(features)
     n = values.shape[0]
@@ -189,22 +209,57 @@ def build_knn_graph(features, k, binarize=True):
         raise ValueError(f"knn k must be >= 1, got {k}")
     if k >= n:
         raise ValueError(f"knn k={k} needs more than {k} items, have {n}")
-    work = values.astype(np.float64, copy=False)
-    norms = np.sqrt((work * work).sum(axis=1, keepdims=True))
-    normed = np.divide(work, norms, out=np.zeros_like(work), where=norms > 0)
-    src, dst, scores = [], [], []
-    for block in range(0, n, _GRAM_ROWS):
-        gram = normed[block:block + _GRAM_ROWS] @ normed.T
-        gram[np.arange(len(gram)), block + np.arange(len(gram))] = -np.inf
-        for lo in range(0, len(gram), _TOPK_ROWS):
-            sims = gram[lo:lo + _TOPK_ROWS]
-            rows, cols = top_k_entries(sims, k)
-            src.append(block + lo + rows)
-            dst.append(cols)
-            scores.append(sims[rows, cols])
-    scores = np.concatenate(scores)
+    normed = values.astype(np.float64)  # a fresh copy, normalised in place
+    norms = np.empty((n, 1))
+    for lo in range(0, n, _GRAM_ROWS):
+        chunk = normed[lo:lo + _GRAM_ROWS]
+        norms[lo:lo + _GRAM_ROWS, 0] = (chunk * chunk).sum(axis=1)
+    np.sqrt(norms, out=norms)
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise ValueError(f"feature row {bad[0]} has no finite norm")
+    np.divide(normed, norms, out=normed, where=norms > 0)
+    normed[norms[:, 0] == 0] = 0.0  # -0.0 entries too, so zero rows are +0.0
+
+    # Row m keeps the candidates of column block b in the k slots from
+    # b * k (fewer for a last block narrower than k), so its candidate
+    # columns ascend along the row and top_k_entries' tie rule carries over.
+    starts = range(0, n, _GRAM_ROWS)
+    slots = k * (len(starts) - 1) + min(k, n - starts[-1])
+    cand_cols = np.empty((n, slots), dtype=np.int64)
+    cand_scores = np.empty((n, slots))
+
+    def propose(sims, row0, col0):
+        # The k best columns of each row of one block, or all of them when
+        # the block is no wider than k.
+        slot = col0 // _GRAM_ROWS * k
+        for lo in range(0, len(sims), _TOPK_ROWS):
+            part = _c_contiguous(sims[lo:lo + _TOPK_ROWS])
+            if part.shape[1] > k:
+                cols = top_k_entries(part, k)[1].reshape(len(part), k)
+            else:
+                cols = np.broadcast_to(np.arange(part.shape[1]), part.shape)
+            rows = slice(row0 + lo, row0 + lo + len(part))
+            cand_cols[rows, slot:slot + cols.shape[1]] = col0 + cols
+            cand_scores[rows, slot:slot + cols.shape[1]] = np.take_along_axis(part, cols, 1)
+
+    for i in starts:
+        block_i = normed[i:i + _GRAM_ROWS]
+        for j in range(i, n, _GRAM_ROWS):
+            block_j = normed[j:j + _GRAM_ROWS]
+            # On the diagonal numpy computes X @ X.T as a symmetric product,
+            # whose two triangles are equal bit for bit.
+            gram = block_i @ block_j.T
+            if j == i:
+                np.fill_diagonal(gram, -np.inf)
+            propose(gram, i, j)
+            if j > i:
+                propose(gram.T, j, i)
+            del gram  # before the next product, so one block is live at a time
+    src, pos = top_k_entries(cand_scores, k)
+    scores = cand_scores[src, pos]
     weights = np.ones(len(scores)) if binarize else np.clip(scores, 0.0, None)
-    return SparseGraph.from_edges(n, np.concatenate(src), np.concatenate(dst), weights)
+    return SparseGraph.from_edges(n, src, cand_cols[src, pos], weights)
 
 
 def fuse_graphs(graph_a, graph_b, weight_a):

@@ -26,6 +26,7 @@ import scipy.sparse as sp
 from . import autograd as ag
 from .autograd import SparseMatrix, Tensor
 from .data import ROLE_TRAIN
+from .itemgraph import SparseGraph
 from .optim import ParamStore, xavier_uniform
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "neighborhood_alignment_loss",
     "joint_loss",
     "eligible_anchor_items",
+    "positive_subgraph",
     "build_na_batch",
     "na_batch_from_items",
 ]
@@ -249,26 +251,34 @@ def _weights_slice(graph, anchors, batch_ids, dtype):
     return weights
 
 
-def build_na_batch(graph, rng, num_anchors, eligible=None, dtype=np.float32):
+def positive_subgraph(graph):
+    """The edges of `graph` with positive weight, in CSR form."""
+    src, dst, w = graph.to_edges()
+    keep = w > 0
+    return SparseGraph.from_edges(graph.num_nodes, src[keep], dst[keep], w[keep])
+
+
+def build_na_batch(graph, rng, num_anchors, positive=None, dtype=np.float32):
     """Sample alignment anchors and force one neighbor each into the batch.
 
     Anchors are drawn uniformly without replacement from items with a
     positive-weight out-edge; each contributes one uniformly chosen such
-    neighbor. Returns (batch item ids sorted unique, anchor positions
-    within the batch, (anchors, batch) weight slice), or None when the
-    graph has no eligible anchor.
+    neighbor. `positive` is `positive_subgraph(graph)`, which a caller
+    sampling many batches builds once. Returns (batch item ids sorted
+    unique, anchor positions within the batch, (anchors, batch) weight
+    slice), or None when the graph has no eligible anchor.
     """
-    if eligible is None:
-        eligible = eligible_anchor_items(graph)
+    if positive is None:
+        positive = positive_subgraph(graph)
+    counts = positive.out_degrees()
+    eligible = np.flatnonzero(counts)
     if len(eligible) == 0:
         return None
     take = min(num_anchors, len(eligible))
     anchors = np.sort(rng.choice(eligible, size=take, replace=False))
-    partners = np.empty(take, dtype=np.int64)
-    for row, a in enumerate(anchors):
-        cols, w = graph.row(int(a))
-        pos = cols[w > 0]
-        partners[row] = pos[rng.integers(0, len(pos))]
+    # One draw per anchor, in anchor order: the same numbers and generator
+    # state as one rng.integers(0, count) call per anchor.
+    partners = positive.indices[positive.indptr[anchors] + rng.integers(0, counts[anchors])]
     batch_ids = np.unique(np.concatenate([anchors, partners]))
     anchor_rows = np.searchsorted(batch_ids, anchors)
     weights = _weights_slice(graph, anchors, batch_ids, dtype)

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 
 from .autograd import Tensor
-from .data import read_exact
+from .data import read_end, read_exact
 
 __all__ = [
     "ParamStore",
@@ -157,4 +157,5 @@ def load_checkpoint(path):
             dtype = _CODE_DTYPES[code]
             payload = read_exact(fh, rows * cols * dtype.itemsize, path, f"payload of {name!r}")
             out[name] = np.frombuffer(payload, dtype=dtype).reshape(rows, cols).copy()
+        read_end(fh, path)
     return out

@@ -37,6 +37,7 @@ from .model import (
     joint_loss,
     na_batch_from_items,
     neighborhood_alignment_loss,
+    positive_subgraph,
 )
 from .optim import adam_step, save_checkpoint
 
@@ -246,12 +247,13 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
     s_ui, s_iu = build_propagation_matrix(table, dtype)
 
     use_na = cfg.na_weight > 0
-    eligible = None
+    positive = None
     if use_na:
-        eligible = eligible_anchor_items(na_graph)
-        if len(eligible) == 0:
+        if len(eligible_anchor_items(na_graph)) == 0:
             warnings.warn("supervision graph has no positive-weight edges; alignment disabled")
             use_na = False
+        else:
+            positive = positive_subgraph(na_graph)
 
     n_train = len(table.role_edges(ROLE_TRAIN))
     steps_per_epoch = max(1, math.ceil(n_train / cfg.batch_size))
@@ -288,7 +290,7 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
             if use_na:
                 if cfg.na_anchor_mode == "independent":
                     na = build_na_batch(
-                        na_graph, streams["anchors"], cfg.batch_size, eligible, dtype
+                        na_graph, streams["anchors"], cfg.batch_size, positive, dtype
                     )
                 else:
                     pool = np.concatenate([batch.pos_items, batch.neg_items])

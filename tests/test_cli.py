@@ -400,6 +400,20 @@ def test_evaluate_reports_cut_checkpoint(trained, tmp_path, capsys):
     assert f"error: {ckpt}: truncated at byte " in err
 
 
+def test_map_ids_out_of_file_order_fail_with_error_line(pipeline, trained, tmp_path, capsys):
+    _, _, prep, _, pruned = pipeline
+    bad = tmp_path / "prep_bad_map"
+    shutil.copytree(prep, bad)
+    (bad / "user_map.txt").write_text("1 alice\n0 bob\n7 carol\n")
+    expected = f"error: {bad / 'user_map.txt'}:1: id 1 where id 0 is due"
+    capsys.readouterr()
+    assert _run(["evaluate", "--run", str(trained), "--prepared", str(bad)]) == 1
+    assert expected in capsys.readouterr().err
+    assert _run(["train", "--prepared", str(bad), "--graph", str(pruned),
+                 "--out", str(tmp_path / "run"), "--max-epochs", "1"]) == 1
+    assert expected in capsys.readouterr().err
+
+
 def test_ablate_rejects_unknown_variant(pipeline, capsys):
     root, _, prep, _, _ = pipeline
     code = _run(["ablate", "--prepared", str(prep), "--out", str(root / "a2"),

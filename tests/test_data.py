@@ -280,6 +280,17 @@ def test_features_cut_at_every_length_fail_naming_the_file(tmp_path):
         load_features(cut, "visual")
 
 
+@pytest.mark.parametrize("extra", [4, 8])
+def test_features_with_trailing_bytes_fail_naming_the_offset(tmp_path, extra):
+    path = tmp_path / "v.tmf"
+    save_features(path, FeatureMatrix("visual", np.ones((3, 2), dtype=np.float32)))
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes() + b"\x00" * extra)
+    message = f"{path}: {extra} bytes follow the last payload, from byte {size}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_features(path, "visual")
+
+
 def test_features_reject_non_finite(tmp_path):
     vals = np.ones((4, 2), dtype=np.float32)
     vals[2, 1] = np.inf
@@ -346,6 +357,27 @@ def test_load_prepared_rejects_bad_ids_naming_the_line(tmp_path, line, message):
     split.write_text("\n".join(lines[:2] + ["", line] + lines[2:]) + "\n")
     with pytest.raises(ValueError, match=f"{re.escape(str(split))}:4: {message}"):
         load_prepared(out)
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["1 alice", "0 bob", "7 carol"], ":1: id 1 where id 0 is due"),
+    (["0 alice", "1 bob", "7 carol"], ":3: id 7 where id 2 is due"),
+    (["0 alice", "", "1 bob", "x carol"], ":4: id 'x' is not an integer"),
+], ids=["out-of-order", "gap", "non-integer"])
+def test_load_prepared_rejects_map_ids_out_of_file_order(tmp_path, lines, message):
+    table = make_split(_table(3, 3, [(u, u) for u in range(3)]), seed=1)
+    rng = np.random.default_rng(0)
+    fv = FeatureMatrix("visual", rng.standard_normal((3, 3)).astype(np.float32))
+    ft = FeatureMatrix("textual", rng.standard_normal((3, 2)).astype(np.float32))
+    out = tmp_path / "prep"
+    save_prepared(out, table, fv, ft)
+    for name in ("user_map.txt", "item_map.txt"):
+        good = (out / name).read_bytes()
+        (out / name).write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(out / name) + message)):
+            load_prepared(out)
+        (out / name).write_bytes(good)
+    load_prepared(out)
 
 
 def test_load_prepared_requires_prepare_run(tmp_path):

@@ -1,6 +1,7 @@
 """Graph construction, topological-similarity pruning, and corruption."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,13 +132,27 @@ def test_knn_zero_rows_and_errors():
         build_knn_graph(feats, 4)
     with pytest.raises(ValueError, match=">= 1"):
         build_knn_graph(feats, 0)
+    for bad in (np.nan, np.inf):
+        feats[2, 1] = bad
+        with pytest.raises(ValueError, match="feature row 2 has no finite norm"):
+            build_knn_graph(feats, 2)
 
 
-@pytest.mark.parametrize("binarize", [True, False])
-def test_knn_ties_across_blocks_follow_tie_rule(binarize):
+@pytest.mark.parametrize(
+    "binarize, n",
+    [
+        (True, itemgraph._GRAM_ROWS + 60),
+        (False, itemgraph._GRAM_ROWS + 60),
+        # Three row blocks, the last one narrower than k.
+        (True, 2 * itemgraph._GRAM_ROWS + 3),
+        (False, 2 * itemgraph._GRAM_ROWS + 3),
+    ],
+    ids=["True", "False", "three-blocks-True", "three-blocks-False"],
+)
+def test_knn_ties_across_blocks_follow_tie_rule(binarize, n):
     # One-hot rows have cosines of exactly 0 or 1, so most of each row's
     # k-th score is tied; n spans several blocks of the similarity matrix.
-    n, k = itemgraph._GRAM_ROWS + 60, 4
+    k = 4
     rng = np.random.default_rng(45)
     labels = rng.integers(-1, 12, size=n)  # -1: an all-zero feature row
     labels[:3] = 12  # a group smaller than k + 1
@@ -164,6 +179,34 @@ def test_knn_cosine_weights_when_not_binarized():
     for m in range(8):
         cols, w = g.row(m)
         assert np.allclose(w, np.clip(sims[m, cols], 0.0, None), atol=1e-12)
+
+
+def test_knn_cosine_weights_are_symmetric_across_blocks():
+    n = itemgraph._GRAM_ROWS + 300
+    rng = np.random.default_rng(34)
+    feats = rng.standard_normal((n, 96)).astype(np.float32)
+    g = build_knn_graph(feats, 40, binarize=False)
+    src, dst, w = g.to_edges()
+    forward = dict(zip(zip(src.tolist(), dst.tolist()), w.tolist()))
+    mutual = [(m, c) for m, c in forward if (c, m) in forward]
+    block = itemgraph._GRAM_ROWS
+    crossing = [(m, c) for m, c in mutual if (m < block) != (c < block)]
+    assert len(mutual) > 1000 and len(crossing) > 100
+    assert [(m, c) for m, c in mutual if forward[(m, c)] != forward[(c, m)]] == []
+
+
+def test_knn_peak_memory_is_the_copy_and_one_gram_block():
+    # The float64 copy of the features and one block of cosines; the
+    # selection and the candidates fit in the margin.
+    feats = np.random.default_rng(35).standard_normal((3000, 256)).astype(np.float32)
+    bound = 1.25 * (feats.size * 8 + itemgraph._GRAM_ROWS ** 2 * 8)
+    tracemalloc.start()
+    try:
+        build_knn_graph(feats, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB over {bound / 1e6:.1f} MB"
 
 
 def test_fuse_graphs_weighted_sum_and_union_pattern():

@@ -26,6 +26,7 @@ from toporec.model import (
     joint_loss,
     na_batch_from_items,
     neighborhood_alignment_loss,
+    positive_subgraph,
 )
 
 
@@ -558,6 +559,47 @@ def test_build_na_batch_determinism_and_caps():
 
     empty = SparseGraph.from_rows(2, [([], []), ([], [])])
     assert build_na_batch(empty, np.random.default_rng(0), 4) is None
+
+
+def _na_batch_loop(graph, rng, num_anchors):
+    """Reference: one scalar partner draw per anchor."""
+    eligible = eligible_anchor_items(graph)
+    if len(eligible) == 0:
+        return None
+    anchors = np.sort(rng.choice(eligible, size=min(num_anchors, len(eligible)), replace=False))
+    partners = np.empty(len(anchors), dtype=np.int64)
+    for row, a in enumerate(anchors):
+        cols, w = graph.row(int(a))
+        pos = cols[w > 0]
+        partners[row] = pos[rng.integers(0, len(pos))]
+    batch_ids = np.unique(np.concatenate([anchors, partners]))
+    return batch_ids, np.searchsorted(batch_ids, anchors)
+
+
+def test_build_na_batch_matches_per_anchor_loop():
+    # Degrees from 0 to 60 and zero-weight edges, so some anchors have a
+    # single positive neighbour (a draw from range(1)) and some none.
+    for case in range(40):
+        rng_graph = np.random.default_rng(case)
+        n = int(rng_graph.integers(2, 80))
+        rows = []
+        for m in range(n):
+            deg = int(rng_graph.integers(0, min(n - 1, 60) + 1))
+            cols = np.sort(rng_graph.choice(np.delete(np.arange(n), m), size=deg, replace=False))
+            rows.append((cols, rng_graph.choice([0.0, 0.5, 1.0], size=deg)))
+        g = SparseGraph.from_rows(n, rows)
+        positive = positive_subgraph(g)
+        for num_anchors in (1, n // 2 + 1, n):
+            rng_ref = np.random.default_rng(1000 + case)
+            rng_new = np.random.default_rng(1000 + case)
+            ref = _na_batch_loop(g, rng_ref, num_anchors)
+            out = build_na_batch(g, rng_new, num_anchors, positive)
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+            if ref is None:
+                assert out is None
+                continue
+            assert out[0].tolist() == ref[0].tolist()
+            assert out[1].tolist() == ref[1].tolist()
 
 
 def test_na_batch_from_items():

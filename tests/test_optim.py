@@ -199,6 +199,17 @@ def test_checkpoint_cut_at_every_length_fails_naming_the_file(tmp_path):
         load_checkpoint(cut)
 
 
+@pytest.mark.parametrize("extra", [4, 8])
+def test_checkpoint_with_trailing_bytes_fails_naming_the_offset(tmp_path, extra):
+    path = tmp_path / "c.tmc"
+    save_checkpoint(path, {"w": np.ones((2, 2), dtype=np.float32)})
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes() + b"\x01" * extra)
+    message = f"{path}: {extra} bytes follow the last payload, from byte {size}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_checkpoint(path)
+
+
 def test_checkpoint_through_param_store(tmp_path):
     store = ParamStore()
     store.add("u", np.arange(6, dtype=np.float32).reshape(2, 3))
