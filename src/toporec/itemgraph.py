@@ -154,19 +154,22 @@ def top_k_entries(scores, k):
     pairs come in row-major order, columns ascending within a row.
     """
     n = scores.shape[1]
-    # Every score above the k-th largest, then the lowest-index columns
-    # tied with it until the row holds k. Only rows with more ties than
-    # room need the running count.
+    # Every score at or above the k-th largest. Only rows where that is
+    # more than k have ties at the k-th score to cut, keeping the
+    # lowest-index tied columns until the row holds k.
     kth = np.partition(scores, n - k, axis=1)[:, [n - k]]
-    above = scores > kth
-    tied = scores == kth
-    room = k - np.count_nonzero(above, axis=1)
-    over = np.flatnonzero(np.count_nonzero(tied, axis=1) > room)
+    keep = scores >= kth
+    over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
     if len(over):
-        crowded = tied[over]
-        tied[over] = crowded & (np.cumsum(crowded, axis=1) <= room[over, None])
-    above |= tied
-    return np.nonzero(above)
+        crowded, crowded_kth = scores[over], kth[over]
+        above = crowded > crowded_kth
+        tied = crowded == crowded_kth
+        room = k - np.count_nonzero(above, axis=1)
+        keep[over] = above | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
+    # One flat pass finds the kept entries several times faster than a
+    # two-dimensional np.nonzero.
+    flat = np.flatnonzero(keep)
+    return flat // n, flat % n
 
 
 # The Gram matrix is computed in _GRAM_ROWS x _GRAM_ROWS blocks, each pair

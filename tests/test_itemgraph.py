@@ -25,6 +25,7 @@ from toporec.itemgraph import (
     random_prune,
     row_neighbors,
     save_graph,
+    top_k_entries,
     topological_similarity,
     tps_prune,
 )
@@ -97,6 +98,23 @@ def test_row_neighbors_matches_set_oracle():
         for m in range(n):
             expected = {m} | {j for j in range(n) if dense[m, j] != 0}
             assert set(row_neighbors(g, m).tolist()) == expected
+
+
+def test_top_k_entries_matches_stable_sort():
+    rng = np.random.default_rng(31)
+    cases = [
+        rng.standard_normal((40, 30)),
+        rng.integers(0, 3, (40, 30)).astype(np.float64),  # many ties
+        rng.standard_normal((40, 30)).astype(np.float32),
+    ]
+    cases[2][:, ::4] = -np.inf
+    cases[2][5] = -np.inf  # fewer than k finite entries
+    for scores in cases:
+        for k in (1, 3, 8, 29, 30):
+            ref = np.sort(np.argsort(-scores, axis=1, kind="stable")[:, :k], axis=1)
+            rows, cols = top_k_entries(scores, k)
+            assert rows.tolist() == np.repeat(np.arange(len(scores)), k).tolist()
+            assert cols.tolist() == ref.ravel().tolist()
 
 
 def test_knn_tie_breaks_toward_lower_index():
