@@ -1,11 +1,11 @@
 """Dense 2-D tensors with reverse-mode automatic differentiation.
 
 Every value is a (rows, cols) float array; scalars are (1, 1). An op
-computes its result eagerly and records, on the output tensor, one
-closure per parent that maps the upstream gradient to that parent's
-contribution. ``backward`` runs a single topological sweep and
-accumulates gradients into the leaf tensors created with
-``requires_grad=True``.
+computes its result eagerly and records, on the output tensor, its
+parent tensors and one backward function that maps the upstream
+gradient to a gradient per parent. ``backward`` runs a single
+topological sweep, calls each node's backward once, and accumulates
+gradients into the leaf tensors created with ``requires_grad=True``.
 
 float64 is the dtype for gradient checks, float32 the usual training
 dtype; ops follow the dtype of their inputs.
@@ -25,7 +25,6 @@ __all__ = [
     "Tensor",
     "SparseMatrix",
     "add",
-    "add_const",
     "sub",
     "mul",
     "mul_const",
@@ -50,7 +49,7 @@ __all__ = [
 class Tensor:
     """A 2-D array plus the bookkeeping for reverse-mode autodiff."""
 
-    __slots__ = ("values", "grad", "requires_grad", "_parents")
+    __slots__ = ("values", "grad", "requires_grad", "_parents", "_back")
 
     def __init__(self, values, requires_grad=False):
         arr = np.asarray(values)
@@ -66,6 +65,7 @@ class Tensor:
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
+        self._back = None
 
     @property
     def shape(self):
@@ -95,8 +95,9 @@ class Tensor:
             if g is None:
                 continue
             if node._parents:
-                for parent, fn in node._parents:
-                    contrib = fn(g)
+                for parent, contrib in zip(node._parents, node._back(g)):
+                    if not parent.requires_grad:
+                        continue
                     pid = id(parent)
                     if pid in grads:
                         grads[pid] = grads[pid] + contrib
@@ -117,53 +118,34 @@ def _topo_order(root):
     stack = [(root, iter(root._parents))]
     while stack:
         node, parents = stack[-1]
-        advanced = False
-        for parent, _ in parents:
-            if id(parent) not in seen and (parent._parents or parent.requires_grad):
+        for parent in parents:
+            if parent.requires_grad and id(parent) not in seen:
                 seen.add(id(parent))
                 stack.append((parent, iter(parent._parents)))
-                advanced = True
                 break
-        if not advanced:
+        else:
             order.append(node)
             stack.pop()
     order.reverse()
     return order
 
 
-def _from_op(values, parents):
+def _from_op(values, parents, back):
+    """Wrap values in a tensor recorded as the output of an op on parents.
+
+    back(g) maps the upstream gradient g of values to a sequence of
+    gradients, one per parent and in the order of parents. Where a
+    parent does not require a gradient, back may put None, and
+    backward drops whatever it puts there. backward calls back at most
+    once per sweep. The node is recorded only when some parent requires
+    a gradient.
+    """
     out = Tensor(values)
-    tracked = tuple((p, fn) for p, fn in parents if p.requires_grad)
-    if tracked:
-        out._parents = tracked
+    if any(p.requires_grad for p in parents):
+        out._parents = tuple(parents)
+        out._back = back
         out.requires_grad = True
     return out
-
-
-def _from_joint_op(values, parents, back):
-    """Record one node whose back(g, needs) returns all parents' gradients.
-
-    needs[k] tells whether parent k takes a gradient; back may return
-    None in the other places. back runs once per upstream gradient, and
-    each parent's closure hands out its own part.
-    """
-    needs = tuple(p.requires_grad for p in parents)
-    pending = {}
-
-    def part(k):
-        def fn(g):
-            if pending.get("g") is not g:
-                pending.clear()
-                pending["g"] = g
-                pending.update((j, gj) for j, gj in enumerate(back(g, needs)) if needs[j])
-            out = pending.pop(k)
-            if len(pending) == 1:
-                pending.clear()
-            return out
-
-        return fn
-
-    return _from_op(values, [(p, part(k)) for k, p in enumerate(parents)])
 
 
 def _unbroadcast(g, shape):
@@ -186,39 +168,31 @@ def _broadcast_shape(op, a_shape, b_shape):
 
 def add(a, b):
     _broadcast_shape("add", a.shape, b.shape)
-    return _from_op(a.values + b.values, [
-        (a, lambda g: _unbroadcast(g, a.shape)),
-        (b, lambda g: _unbroadcast(g, b.shape)),
-    ])
+    return _from_op(a.values + b.values, (a, b), lambda g: (
+        _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+    ))
 
 
 def sub(a, b):
     _broadcast_shape("sub", a.shape, b.shape)
-    return _from_op(a.values - b.values, [
-        (a, lambda g: _unbroadcast(g, a.shape)),
-        (b, lambda g: _unbroadcast(-g, b.shape)),
-    ])
+    return _from_op(a.values - b.values, (a, b), lambda g: (
+        _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+    ))
 
 
 def mul(a, b):
     _broadcast_shape("mul", a.shape, b.shape)
     av, bv = a.values, b.values
-    return _from_op(av * bv, [
-        (a, lambda g: _unbroadcast(g * bv, a.shape)),
-        (b, lambda g: _unbroadcast(g * av, b.shape)),
-    ])
-
-
-def add_const(a, c):
-    c = np.asarray(c, dtype=a.values.dtype)
-    _broadcast_shape("add_const", a.shape, np.atleast_2d(c).shape)
-    return _from_op(a.values + c, [(a, lambda g: _unbroadcast(g, a.shape))])
+    return _from_op(av * bv, (a, b), lambda g: (
+        _unbroadcast(g * bv, a.shape) if a.requires_grad else None,
+        _unbroadcast(g * av, b.shape) if b.requires_grad else None,
+    ))
 
 
 def mul_const(a, c):
     c = np.asarray(c, dtype=a.values.dtype)
     _broadcast_shape("mul_const", a.shape, np.atleast_2d(c).shape)
-    return _from_op(a.values * c, [(a, lambda g: _unbroadcast(g * c, a.shape))])
+    return _from_op(a.values * c, (a,), lambda g: (_unbroadcast(g * c, a.shape),))
 
 
 def scale(a, s):
@@ -233,15 +207,15 @@ def matmul(a, b):
     if a.cols != b.rows:
         raise ValueError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     av, bv = a.values, b.values
-    return _from_op(av @ bv, [
-        (a, lambda g: g @ bv.T),
-        (b, lambda g: av.T @ g),
-    ])
+    return _from_op(av @ bv, (a, b), lambda g: (
+        g @ bv.T if a.requires_grad else None,
+        av.T @ g if b.requires_grad else None,
+    ))
 
 
 def tanh(a):
     out = np.tanh(a.values)
-    return _from_op(out, [(a, lambda g: g * (1.0 - out * out))])
+    return _from_op(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def softplus(a):
@@ -249,7 +223,7 @@ def softplus(a):
     x = a.values
     out = np.where(x > 0, x + np.log1p(np.exp(-np.abs(x))), np.log1p(np.exp(np.minimum(x, 0))))
     sig = 0.5 * (1.0 + np.tanh(0.5 * x))
-    return _from_op(out.astype(x.dtype, copy=False), [(a, lambda g: g * sig)])
+    return _from_op(out.astype(x.dtype, copy=False), (a,), lambda g: (g * sig,))
 
 
 def tsum(a, axis=None):
@@ -261,7 +235,7 @@ def tsum(a, axis=None):
         out = av.sum(axis=axis, keepdims=True)
     else:
         raise ValueError(f"tsum: axis must be None, 0, or 1, got {axis}")
-    return _from_op(out, [(a, lambda g: np.broadcast_to(g, av.shape))])
+    return _from_op(out, (a,), lambda g: (np.broadcast_to(g, av.shape),))
 
 
 def tmean(a, axis=None):
@@ -285,19 +259,18 @@ def gather_rows(a, idx):
         scatter = sp.csr_matrix(
             (np.ones(len(idx), dtype=av.dtype), order, indptr), shape=(a.rows, len(idx))
         )
-        return scatter @ g.astype(av.dtype, copy=False)
+        return (scatter @ g.astype(av.dtype, copy=False),)
 
-    return _from_op(av[idx], [(a, back)])
+    return _from_op(av[idx], (a,), back)
 
 
 def concat_cols(a, b):
     if a.rows != b.rows:
         raise ValueError(f"concat_cols: row counts differ, {a.shape} vs {b.shape}")
     k = a.cols
-    return _from_op(np.concatenate([a.values, b.values], axis=1), [
-        (a, lambda g: g[:, :k]),
-        (b, lambda g: g[:, k:]),
-    ])
+    return _from_op(np.concatenate([a.values, b.values], axis=1), (a, b), lambda g: (
+        g[:, :k], g[:, k:]
+    ))
 
 
 def encoder_layer(x, w, b, gain, bias, eps=1e-5):
@@ -327,8 +300,10 @@ def encoder_layer(x, w, b, gain, bias, eps=1e-5):
     np.multiply(slope, slope, out=slope)
     np.subtract(1, slope, out=slope)
     slope *= inv
+    parents = (x, w, b, gain, bias)
+    needs = tuple(p.requires_grad for p in parents)
 
-    def back(g, needs):
+    def back(g):
         d_gain = np.einsum("ij,ij->j", g, xhat)[None, :] if needs[3] else None
         d_bias = g.sum(axis=0, keepdims=True) if needs[4] else None
         da = g * gv
@@ -341,7 +316,7 @@ def encoder_layer(x, w, b, gain, bias, eps=1e-5):
         d_b = da.sum(axis=0, keepdims=True) if needs[2] else None
         return d_x, d_w, d_b, d_gain, d_bias
 
-    return _from_joint_op(out, (x, w, b, gain, bias), back)
+    return _from_op(out, parents, back)
 
 
 def dropout(x, rate, rng, train_mode=True):
@@ -351,7 +326,7 @@ def dropout(x, rate, rng, train_mode=True):
     if rate == 0.0 or not train_mode:
         return x
     mask = (rng.random(x.shape) >= rate).astype(x.values.dtype) / (1.0 - rate)
-    return _from_op(x.values * mask, [(x, lambda g: g * mask)])
+    return _from_op(x.values * mask, (x,), lambda g: (g * mask,))
 
 
 def row_dot(a, b):
@@ -405,9 +380,9 @@ def weighted_infonce(x, anchor_rows, weights, temperature):
         d_normed = d_logits.T @ scaled
         np.add.at(d_normed, anchor_rows, d_logits @ normed * dtype.type(1.0 / temperature))
         proj = np.einsum("ij,ij->i", d_normed, normed)[:, None]
-        return inv * (d_normed - normed * proj)
+        return (inv * (d_normed - normed * proj),)
 
-    return _from_op(np.asarray(loss, dtype=dtype).reshape(1, 1), [(x, back)])
+    return _from_op(np.asarray(loss, dtype=dtype).reshape(1, 1), (x,), back)
 
 
 class SparseMatrix:
@@ -432,7 +407,7 @@ def spmm(s, x):
         raise ValueError(f"spmm: inner dims differ, {s.shape} @ {x.shape}")
     dtype = x.values.dtype
     out = np.asarray(s.mat @ x.values).astype(dtype, copy=False)
-    return _from_op(out, [(x, lambda g: np.asarray(s.mat_t @ g).astype(dtype, copy=False))])
+    return _from_op(out, (x,), lambda g: (np.asarray(s.mat_t @ g).astype(dtype, copy=False),))
 
 
 def finite_diff_check(loss_fn, params, h=1e-4, max_coords_per_param=None, rng=None):

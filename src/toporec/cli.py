@@ -211,12 +211,7 @@ def cmd_evaluate(args):
             f"the run was trained on (data_hash differs from {manifest_path})"
         )
     model, features = build_model(cfg, table, {"visual": fv, "textual": ft})
-    local_ckpt = os.path.join(args.run, "checkpoint.tmc")
-    ckpt = _require(
-        local_ckpt if os.path.exists(local_ckpt) else manifest.get("checkpoint_path", ""),
-        "checkpoint",
-        "train",
-    )
+    ckpt = _require(os.path.join(args.run, "checkpoint.tmc"), "checkpoint", "train")
     model.params.load_state(load_checkpoint(ckpt))
     s_ui, s_iu = build_propagation_matrix(table, cfg.numpy_dtype())
     z_users, z_items = model.embeddings(features, s_ui, s_iu)

@@ -164,7 +164,7 @@ class RunManifest:
 def _sha256(*arrays):
     digest = hashlib.sha256()
     for arr in arrays:
-        digest.update(np.ascontiguousarray(arr).tobytes())
+        digest.update(np.ascontiguousarray(arr))
     return digest.hexdigest()
 
 

@@ -108,7 +108,7 @@ def test_const_op_gradients():
     x = _leaf(rng, 3, 4)
     c = rng.standard_normal((3, 4))
     err = finite_diff_check(
-        lambda: ag.tsum(ag.add_const(ag.mul_const(ag.scale(x, 1.7), c), 0.3)), [x]
+        lambda: ag.tsum(ref_ops.add_const(ag.mul_const(ag.scale(x, 1.7), c), 0.3)), [x]
     )
     assert err < TOL
 
@@ -247,6 +247,25 @@ def test_matmul_shape_error_names_shapes():
         ag.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
+def test_constant_operand_takes_no_gradient_or_product():
+    rng = np.random.default_rng(31)
+    c = Tensor(rng.standard_normal((3, 4)))
+    leaf = _leaf(rng, 4, 2)
+    out = ag.matmul(c, leaf)
+    assert out._parents == (c, leaf)
+    d_c, d_leaf = out._back(np.ones(out.shape))
+    assert d_c is None and np.allclose(d_leaf, c.values.T @ np.ones(out.shape))
+    ag.tsum(out).backward()
+    assert c.grad is None
+    assert np.allclose(leaf.grad, d_leaf)
+
+    d = Tensor(rng.standard_normal((4, 2)))
+    assert ag.mul(d, leaf)._back(np.ones((4, 2)))[0] is None
+    # An op on constants records no node.
+    const = ag.add(c, c)
+    assert const._parents == () and not const.requires_grad
+
+
 def test_gradient_accumulates_when_tensor_reused():
     x = Tensor(np.array([[2.0, -1.0]]), requires_grad=True)
     ag.tsum(ag.mul(x, x)).backward()
@@ -269,7 +288,7 @@ def test_long_chain_does_not_recurse():
     x = Tensor(np.zeros((1, 1)), requires_grad=True)
     y = x
     for _ in range(5000):
-        y = ag.add_const(y, 1.0)
+        y = ref_ops.add_const(y, 1.0)
     y.backward()
     assert x.grad[0, 0] == 1.0
     assert y.item() == 5000.0
@@ -358,7 +377,8 @@ def test_finite_diff_check_flags_wrong_gradients():
     def bad_op(t):
         out = ref_ops.exp(t)
         wrong = Tensor(out.values)
-        wrong._parents = ((t, lambda g: g * 0.5),)  # deliberately wrong jacobian
+        wrong._parents = (t,)
+        wrong._back = lambda g: (g * 0.5,)  # deliberately wrong jacobian
         wrong.requires_grad = True
         return wrong
 

@@ -400,6 +400,20 @@ def test_evaluate_reports_cut_checkpoint(trained, tmp_path, capsys):
     assert f"error: {ckpt}: truncated at byte " in err
 
 
+def test_evaluate_loads_only_the_run_directory_checkpoint(trained, tmp_path, capsys):
+    run = tmp_path / "no_checkpoint"
+    run.mkdir()
+    manifest = json.loads((trained / "manifest.json").read_text())
+    # The manifest still names the other run's checkpoint, which exists.
+    assert os.path.exists(manifest["checkpoint_path"])
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert _run(["evaluate", "--run", str(run), "--out", str(tmp_path / "m")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: checkpoint not found at {run / 'checkpoint.tmc'}" in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_map_ids_out_of_file_order_fail_with_error_line(pipeline, trained, tmp_path, capsys):
     _, _, prep, _, pruned = pipeline
     bad = tmp_path / "prep_bad_map"

@@ -403,7 +403,7 @@ def _composed_alignment_loss(reps, anchor_rows, weights, temperature):
     sims = ag.matmul(ag.gather_rows(normed, anchor_rows), ref_ops.transpose(normed))
     logits = ag.scale(sims, 1.0 / temperature)
     shift = logits.values.max(axis=1, keepdims=True)
-    expd = ref_ops.exp(ag.add_const(logits, -shift))
+    expd = ref_ops.exp(ref_ops.add_const(logits, -shift))
     self_mask = np.ones_like(weights)
     self_mask[np.arange(len(anchor_rows)), anchor_rows] = 0.0
     numer = ag.tsum(ag.mul_const(expd, weights * self_mask), axis=1)
@@ -460,13 +460,15 @@ def test_joint_loss_value_composition():
     assert joint_loss(bpr, None, 0.0).item() == 0.5
 
 
-def test_float32_step_stays_float32(monkeypatch):
-    # Record the outputs of the two fused ops the step runs.
+def _float32_step(monkeypatch):
+    """One float32 training step with dropout: its model, config and loss,
+    the (args, output) of every call of the two fused ops, and the loss's
+    tape, each op node once."""
     fused = {"encoder_layer": [], "weighted_infonce": []}
-    for name, outputs in fused.items():
-        def record(*args, _op=getattr(ag, name), _outputs=outputs):
+    for name, calls in fused.items():
+        def record(*args, _op=getattr(ag, name), _calls=calls):
             out = _op(*args)
-            _outputs.append(out)
+            _calls.append((args, out))
             return out
 
         monkeypatch.setattr(ag, name, record)
@@ -488,32 +490,66 @@ def test_float32_step_stays_float32(monkeypatch):
     )
     loss = joint_loss(bpr_loss(z_u, z_i, batch), na, 0.5)
 
-    tape, stack = [], [loss]
+    tape, stack = {}, [loss]
     while stack:
         node = stack.pop()
-        tape.append(node)
-        stack.extend(parent for parent, _ in node._parents if parent._parents)
-    assert len(fused["encoder_layer"]) == 2 * cfg.depth and fused["weighted_infonce"] == [na]
-    for out in fused["encoder_layer"] + fused["weighted_infonce"]:
-        assert any(node is out for node in tape)
+        if id(node) not in tape:
+            tape[id(node)] = node
+            stack.extend(parent for parent in node._parents if parent._parents)
+    assert len(fused["encoder_layer"]) == 2 * cfg.depth
+    assert [out for _, out in fused["weighted_infonce"]] == [na]
+    for _, out in fused["encoder_layer"] + fused["weighted_infonce"]:
+        assert id(out) in tape
+    return model, cfg, loss, fused, list(tape.values())
 
+
+def test_float32_step_stays_float32(monkeypatch):
+    model, _, loss, _, tape = _float32_step(monkeypatch)
     # Every gradient that flows along the tape is float32 as well.
     grad_dtypes = set()
 
-    def checked(fn):
+    def checked(node, back):
         def wrapper(g):
-            contrib = fn(g)
-            grad_dtypes.add(contrib.dtype)
-            return contrib
+            grads = back(g)
+            grad_dtypes.update(
+                gp.dtype for p, gp in zip(node._parents, grads) if p.requires_grad
+            )
+            return grads
 
         return wrapper
 
     for node in tape:
-        node._parents = tuple((parent, checked(fn)) for parent, fn in node._parents)
+        node._back = checked(node, node._back)
     loss.backward()
     assert {t.values.dtype for t in tape} == {np.dtype(np.float32)}
     assert grad_dtypes == {np.dtype(np.float32)}
     assert {p.grad.dtype for _, p in model.params.items()} == {np.dtype(np.float32)}
+
+
+def test_encoder_layer_backward_runs_once_per_sweep(monkeypatch):
+    _, cfg, loss, fused, _ = _float32_step(monkeypatch)
+    returned = {}
+
+    def counted(out, back):
+        def wrapper(g):
+            grads = back(g)
+            returned.setdefault(id(out), []).append(grads)
+            return grads
+
+        return wrapper
+
+    for _, out in fused["encoder_layer"]:
+        out._back = counted(out, out._back)
+    loss.backward()
+    assert [len(returned[id(out)]) for _, out in fused["encoder_layer"]] == [1] * (2 * cfg.depth)
+    # The first layer of each modality reads the constant features: no
+    # gradient, and no product computed for it.
+    for args, out in fused["encoder_layer"][:: cfg.depth]:
+        features = args[0]
+        assert not features.requires_grad and features.grad is None
+        [(d_x, *d_params)] = returned[id(out)]
+        assert d_x is None
+        assert all(d.dtype == np.float32 for d in d_params)
 
 
 def test_eligible_anchor_items():

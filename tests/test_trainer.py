@@ -1,5 +1,6 @@
 """Training loop, variant handling, and run artifacts."""
 
+import hashlib
 import json
 import os
 import warnings
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from toporec.config import ConfigWarning, TrainConfig
-from toporec.data import make_split
+from toporec.data import InteractionTable, make_split
 from toporec.itemgraph import SparseGraph, graphs_equal
 from toporec.metrics import evaluate
 from toporec.model import build_propagation_matrix
@@ -20,6 +21,7 @@ from toporec.trainer import (
     ablate,
     build_item_graph,
     build_model,
+    data_hash,
     fit,
     rng_streams,
     run_variant,
@@ -192,6 +194,33 @@ def test_fit_basics_and_best_restore():
     assert manifest.graph_hash != ""
     for key in ("recall@10", "recall@20", "ndcg@10", "ndcg@20"):
         assert 0.0 <= manifest.test_metrics[key] <= 1.0
+
+
+def test_hashes_are_sha256_of_the_array_bytes():
+    data = _tiny_data()
+    cfg = _tiny_config(max_epochs=1, na_weight=0.0)
+    dtype = cfg.numpy_dtype()
+    visual = np.asfortranarray(data.features_visual.values, dtype=dtype)
+    textual = np.asfortranarray(data.features_textual.values, dtype=dtype)
+    assert not visual.flags.c_contiguous
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfigWarning)
+        manifest = fit(cfg, data.table, visual, textual)
+    assert manifest.feature_hashes == {
+        "visual": hashlib.sha256(visual.tobytes()).hexdigest(),
+        "textual": hashlib.sha256(textual.tobytes()).hexdigest(),
+    }
+
+    edges = np.asfortranarray(data.table.edges)
+    table = InteractionTable(
+        data.table.num_users, data.table.num_items, data.table.user_tokens,
+        data.table.item_tokens, edges, data.table.roles,
+    )
+    assert not table.edges.flags.c_contiguous
+    expected = hashlib.sha256(edges.tobytes() + table.roles.tobytes()).hexdigest()
+    assert data_hash(table) == expected
+    empty = InteractionTable(1, 1, ["u"], ["i"], np.zeros((0, 2)), np.zeros(0))
+    assert data_hash(empty) == hashlib.sha256(b"").hexdigest()
 
 
 def test_fit_zero_lr_stops_on_patience():
