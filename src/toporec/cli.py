@@ -15,7 +15,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .config import TrainConfig, load_config_file, resolve_config
+from .config import TrainConfig, config_from_dict, load_config_file, resolve_config
 from .data import (
     FeatureMatrix,
     load_features,
@@ -24,6 +24,7 @@ from .data import (
     make_split,
     save_features,
     save_prepared,
+    write_file,
 )
 # build_knn_graph and fuse_graphs are unused here; bench/spans.py wraps them by name.
 from .itemgraph import (  # noqa: F401
@@ -73,11 +74,9 @@ def cmd_synth(args):
         num_clusters=args.clusters,
         seed=args.seed,
     )
-    os.makedirs(args.out, exist_ok=True)
-    inter = os.path.join(args.out, "interactions.txt")
-    with open(inter, "w", encoding="utf-8") as fh:
-        for u, i in data.table.edges:
-            fh.write(f"{data.table.user_tokens[u]} {data.table.item_tokens[i]}\n")
+    users, items = data.table.user_tokens, data.table.item_tokens
+    lines = "".join(f"{users[u]} {items[i]}\n" for u, i in data.table.edges.tolist())
+    write_file(os.path.join(args.out, "interactions.txt"), lines)
     # `prepare` numbers items by first appearance in the interaction file
     # and reads feature row k as item k, so rows go out in that order;
     # items no user touched get no id and are left out.
@@ -88,11 +87,8 @@ def cmd_synth(args):
             os.path.join(args.out, f"features_{features.modality}.tmf"),
             FeatureMatrix(features.modality, features.values[order]),
         )
-    np.savetxt(
-        os.path.join(args.out, "item_clusters.txt"),
-        data.item_clusters[order],
-        fmt="%d",
-    )
+    clusters = "".join(f"{c}\n" for c in data.item_clusters[order].tolist())
+    write_file(os.path.join(args.out, "item_clusters.txt"), clusters)
     _log(event="synth", users=args.users, items=args.items, out=args.out)
     return 0
 
@@ -195,15 +191,7 @@ def cmd_evaluate(args):
     prepared = args.prepared or manifest.get("prepared_dir")
     if not prepared:
         raise ValueError("manifest has no prepared_dir; pass --prepared")
-    cfg_dict = dict(manifest["config"])
-    unknown = sorted(set(cfg_dict) - {f.name for f in fields(TrainConfig)})
-    if unknown:
-        raise ValueError(
-            f"{manifest_path}: config keys {unknown} are not settings of this "
-            "toporec version; retrain the run"
-        )
-    cfg_dict["eval_topn"] = tuple(cfg_dict.get("eval_topn", (10, 20)))
-    cfg = TrainConfig(**cfg_dict)
+    cfg = config_from_dict(manifest["config"], manifest_path)
     table, fv, ft = load_prepared(prepared)
     if data_hash(table) != manifest.get("data_hash"):
         raise ValueError(

@@ -17,6 +17,7 @@ __all__ = [
     "TrainConfig",
     "ConfigWarning",
     "validate_config",
+    "config_from_dict",
     "load_config_file",
     "resolve_config",
 ]
@@ -133,27 +134,52 @@ def validate_config(cfg):
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
+               "false": False, "0": False, "no": False, "off": False}
+
+# Field type -> (what it takes, check of a value, parser of flag or file text).
+# `type(v) is int` turns bools away.
+_KINDS = {
+    "int": ("an integer", lambda v: type(v) is int, int),
+    "float": ("a number", lambda v: type(v) is int or isinstance(v, float), float),
+    "bool": ("a boolean", lambda v: isinstance(v, bool), lambda t: _BOOL_WORDS[t.lower()]),
+    "str": ("a string", lambda v: isinstance(v, str), str),
+    "tuple": (
+        "a list of integers",
+        lambda v: isinstance(v, (list, tuple)) and all(type(n) is int for n in v),
+        lambda t: tuple(int(p) for p in t.replace(",", " ").split()),
+    ),
+}
 
 
-def _coerce(name, raw):
-    if isinstance(raw, (int, float, bool, tuple)):
-        return raw
-    text = str(raw).strip()
-    kind = _FIELD_TYPES[name]
-    if name == "eval_topn":
-        return tuple(int(p) for p in text.replace(",", " ").split())
-    if kind == "bool":
-        low = text.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"config key {name!r}: expected a boolean, got {text!r}")
-    if kind == "int":
-        return int(text)
-    if kind == "float":
-        return float(text)
-    return text
+def _parse(name, text):
+    """A flag or config-file value as the type of field `name`; other values,
+    and text that does not parse, stay as they are for config_from_dict."""
+    if not isinstance(text, str):
+        return text
+    try:
+        return _KINDS[_FIELD_TYPES.get(name, "str")][2](text.strip())
+    except (KeyError, ValueError):
+        return text
+
+
+def config_from_dict(values, source="", base=None):
+    """`base` (the defaults when None) with the fields in `values`.
+
+    A ValueError, prefixed by `source` when given, rejects an unknown key
+    and a value whose type is not the field's: ints (not bools) for int
+    fields, ints or floats for float fields, a list or tuple of ints for
+    eval_topn.
+    """
+    prefix = f"{source}: " if source else ""
+    for name, value in values.items():
+        if name not in _FIELD_TYPES:
+            raise ValueError(f"{prefix}unknown config key {name!r}")
+        what, ok, _ = _KINDS[_FIELD_TYPES[name]]
+        if not ok(value):
+            raise ValueError(f"{prefix}config key {name!r}: expected {what}, got {value!r}")
+    typed = {k: tuple(v) if isinstance(v, list) else v for k, v in values.items()}
+    return replace(base or TrainConfig(), **typed)
 
 
 def load_config_file(path):
@@ -165,25 +191,16 @@ def load_config_file(path):
     for section in parser.sections():
         if section != "train":
             raise ValueError(f"{path}: unknown config section [{section}]")
-        for key, value in parser.items(section):
-            if key not in _FIELD_TYPES:
-                raise ValueError(f"{path}: unknown config key {key!r} in [train]")
-            train[key] = _coerce(key, value)
+        train = {key: _parse(key, value) for key, value in parser.items(section)}
+    config_from_dict(train, path)
     return train
 
 
 def resolve_config(file_overrides=None, flag_overrides=None):
-    """Layer overrides onto the defaults and validate the result."""
+    """Layer overrides onto the defaults and validate the result; text
+    values are parsed as flags are, and None values are skipped."""
     cfg = TrainConfig()
-    for layer in (file_overrides, flag_overrides):
-        if not layer:
-            continue
-        clean = {}
-        for key, value in layer.items():
-            if value is None:
-                continue
-            if key not in _FIELD_TYPES:
-                raise ValueError(f"unknown config key {key!r}")
-            clean[key] = _coerce(key, value)
-        cfg = replace(cfg, **clean)
+    for layer in (file_overrides or {}, flag_overrides or {}):
+        given = {key: _parse(key, value) for key, value in layer.items() if value is not None}
+        cfg = config_from_dict(given, base=cfg)
     return validate_config(cfg)

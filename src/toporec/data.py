@@ -3,12 +3,14 @@
 Interaction files are whitespace separated, one ``user item [split]``
 row per line. Feature matrices load from CSV (one item per row) or from
 the TMF1 binary format written by :func:`save_features`. Tokens map to
-contiguous indices in first-appearance order.
+contiguous indices in first-appearance order. Every file the package
+writes goes through :func:`write_file`.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -28,6 +30,7 @@ __all__ = [
     "sample_bpr_triples",
     "read_exact",
     "read_end",
+    "write_file",
     "load_features",
     "save_features",
     "dataset_stats",
@@ -271,11 +274,8 @@ def save_features(path, features):
     """Write a FeatureMatrix as TMF1: header plus little-endian f32."""
     tag = features.modality.encode("utf-8")
     rows, cols = features.values.shape
-    with open(path, "wb") as fh:
-        fh.write(_FEAT_MAGIC)
-        fh.write(struct.pack("<IIB", rows, cols, len(tag)))
-        fh.write(tag)
-        fh.write(features.values.astype("<f4", copy=False).tobytes(order="C"))
+    header = _FEAT_MAGIC + struct.pack("<IIB", rows, cols, len(tag)) + tag
+    write_file(path, header, np.ascontiguousarray(features.values, dtype="<f4"))
 
 
 def read_exact(fh, size, path, what):
@@ -298,6 +298,27 @@ def read_end(fh, path):
     extra = len(fh.read())
     if extra:
         raise ValueError(f"{path}: {extra} bytes follow the last payload, from byte {end}")
+
+
+def write_file(path, *chunks):
+    """Write str chunks as UTF-8 and other chunks as bytes to path, creating
+    its directory. They go to a temp file beside path that replaces it only
+    once all are out; on any exception the temp file is removed, path keeps
+    what it held, and the exception propagates.
+    """
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_features(path, modality, expected_rows=None):
@@ -345,15 +366,12 @@ def dataset_stats(table):
 
 
 def save_split(path, table):
-    with open(path, "w", encoding="utf-8") as fh:
-        for (u, i), r in zip(table.edges, table.roles):
-            fh.write(f"{u} {i} {_NAME_BY_ROLE[int(r)]}\n")
+    rows = zip(table.edges.tolist(), table.roles.tolist())
+    write_file(path, "".join(f"{u} {i} {_NAME_BY_ROLE[r]}\n" for (u, i), r in rows))
 
 
 def _save_map(path, tokens):
-    with open(path, "w", encoding="utf-8") as fh:
-        for idx, tok in enumerate(tokens):
-            fh.write(f"{idx} {tok}\n")
+    write_file(path, "".join(f"{idx} {tok}\n" for idx, tok in enumerate(tokens)))
 
 
 def _load_map(path):
@@ -380,9 +398,6 @@ def _load_map(path):
 
 def save_prepared(out_dir, table, features_visual, features_textual):
     """Persist the split table, ID maps, features, and stats to a directory."""
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
     _save_map(os.path.join(out_dir, "user_map.txt"), table.user_tokens)
     _save_map(os.path.join(out_dir, "item_map.txt"), table.item_tokens)
     save_split(os.path.join(out_dir, "split.txt"), table)
@@ -390,21 +405,16 @@ def save_prepared(out_dir, table, features_visual, features_textual):
     save_features(os.path.join(out_dir, "features_textual.tmf"), features_textual)
     stats = dataset_stats(table)
     stats["splits"] = table.split_counts()
-    with open(os.path.join(out_dir, "stats.json"), "w", encoding="utf-8") as fh:
-        json.dump(stats, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "stats.csv"), "w", encoding="utf-8") as fh:
-        fh.write("users,items,interactions,sparsity_pct\n")
-        fh.write(
-            f"{stats['users']},{stats['items']},{stats['interactions']},{stats['sparsity_pct']}\n"
-        )
+    stats_json = json.dumps(stats, indent=2, sort_keys=True)
+    write_file(os.path.join(out_dir, "stats.json"), stats_json, "\n")
+    cols = ("users", "items", "interactions", "sparsity_pct")
+    row = ",".join(str(stats[c]) for c in cols)
+    write_file(os.path.join(out_dir, "stats.csv"), ",".join(cols), "\n", row, "\n")
     return stats
 
 
 def load_prepared(prepared_dir):
     """Load the artifacts written by save_prepared."""
-    import os
-
     split_path = os.path.join(prepared_dir, "split.txt")
     if not os.path.exists(split_path):
         raise FileNotFoundError(

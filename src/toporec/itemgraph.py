@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .data import write_file
+
 __all__ = [
     "SparseGraph",
     "PruneReport",
@@ -335,12 +337,12 @@ class PruneReport:
         return int(self.dropped.sum())
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("node,kept,dropped,min_ts,max_ts\n")
-            for i in range(len(self.kept)):
-                lo = "" if np.isnan(self.min_ts[i]) else repr(float(self.min_ts[i]))
-                hi = "" if np.isnan(self.max_ts[i]) else repr(float(self.max_ts[i]))
-                fh.write(f"{i},{self.kept[i]},{self.dropped[i]},{lo},{hi}\n")
+        rows = []
+        for i in range(len(self.kept)):
+            lo = "" if np.isnan(self.min_ts[i]) else repr(float(self.min_ts[i]))
+            hi = "" if np.isnan(self.max_ts[i]) else repr(float(self.max_ts[i]))
+            rows.append(f"{i},{self.kept[i]},{self.dropped[i]},{lo},{hi}\n")
+        write_file(path, "node,kept,dropped,min_ts,max_ts\n", *rows)
 
 
 def tps_prune(graph, k, log_base=None):
@@ -431,8 +433,7 @@ def save_graph(path, graph):
     body = "".join(
         f"{s} {d} {wt:.17g}\n" for s, d, wt in zip(src.tolist(), dst.tolist(), w.tolist())
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"TMG1 {graph.num_nodes} {graph.nnz}\n{body}")
+    write_file(path, f"TMG1 {graph.num_nodes} {graph.nnz}\n", body)
 
 
 def load_graph(path):

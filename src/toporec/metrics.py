@@ -13,7 +13,7 @@ import json
 import numpy as np
 import scipy.sparse as sp
 
-from .data import ROLE_TEST, ROLE_TRAIN, ROLE_VAL
+from .data import ROLE_TEST, ROLE_TRAIN, ROLE_VAL, write_file
 from .itemgraph import top_k_entries
 
 __all__ = [
@@ -132,16 +132,13 @@ def evaluate(z_users, z_items, table, split, ns=(10, 20), block_size=512):
 
 def write_metrics_csv(path, metrics):
     split = metrics.get("split", "")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("split,metric,N,value\n")
-        for key, value in sorted(metrics.items()):
-            if "@" not in str(key):
-                continue
-            metric, n = key.split("@")
-            fh.write(f"{split},{metric},{n},{value!r}\n")
+    rows = [
+        f"{split},{key.replace('@', ',')},{value!r}\n"
+        for key, value in sorted(metrics.items())
+        if "@" in str(key)
+    ]
+    write_file(path, "split,metric,N,value\n", *rows)
 
 
 def write_metrics_json(path, metrics):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_file(path, json.dumps(metrics, indent=2, sort_keys=True), "\n")

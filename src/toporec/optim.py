@@ -7,7 +7,7 @@ import struct
 import numpy as np
 
 from .autograd import Tensor
-from .data import read_end, read_exact
+from .data import read_end, read_exact, write_file
 
 __all__ = [
     "ParamStore",
@@ -122,20 +122,18 @@ _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 def save_checkpoint(path, arrays):
     """Write named 2-D float arrays to a TMC1 container."""
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<HI", 1, len(arrays)))
-        for name, arr in arrays.items():
-            arr = np.atleast_2d(np.asarray(arr))
-            if arr.ndim != 2:
-                raise ValueError(f"checkpoint arrays are 2-D, {name!r} has shape {arr.shape}")
-            if arr.dtype not in _DTYPE_CODES:
-                arr = arr.astype(np.float64)
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<BII", _DTYPE_CODES[arr.dtype], arr.shape[0], arr.shape[1]))
-            fh.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes(order="C"))
+    chunks = [_CKPT_MAGIC, struct.pack("<HI", 1, len(arrays))]
+    for name, arr in arrays.items():
+        arr = np.atleast_2d(np.asarray(arr))
+        if arr.ndim != 2:
+            raise ValueError(f"checkpoint arrays are 2-D, {name!r} has shape {arr.shape}")
+        if arr.dtype not in _DTYPE_CODES:
+            arr = arr.astype(np.float64)
+        raw = name.encode("utf-8")
+        code = _DTYPE_CODES[arr.dtype]
+        chunks += [struct.pack("<H", len(raw)), raw, struct.pack("<BII", code, *arr.shape)]
+        chunks.append(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")))
+    write_file(path, *chunks)
 
 
 def load_checkpoint(path):

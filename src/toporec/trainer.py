@@ -14,6 +14,7 @@ the same config are bit-identical.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import autograd as ag
 from .config import TrainConfig, validate_config
-from .data import ROLE_TEST, ROLE_TRAIN, ROLE_VAL, sample_bpr_triples
+from .data import ROLE_TEST, ROLE_TRAIN, ROLE_VAL, sample_bpr_triples, write_file
 from .itemgraph import build_knn_graph, corrupt_graph, fuse_graphs, random_prune, tps_prune
 from .metrics import evaluate
 from .model import (
@@ -148,17 +149,14 @@ class RunManifest:
         return out
 
     def save(self, out_dir):
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        with open(os.path.join(out_dir, "epochs.csv"), "w", encoding="utf-8") as fh:
-            fh.write("epoch,loss_bpr,loss_na,val_r20,val_n20\n")
-            for row in self.epochs:
-                fh.write(
-                    f"{row['epoch']},{row['loss_bpr']!r},{row['loss_na']!r},"
-                    f"{row['val_r20']!r},{row['val_n20']!r}\n"
-                )
+        manifest = json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        write_file(os.path.join(out_dir, "manifest.json"), manifest, "\n")
+        cols = ("loss_bpr", "loss_na", "val_r20", "val_n20")
+        write_file(
+            os.path.join(out_dir, "epochs.csv"),
+            f"epoch,{','.join(cols)}\n",
+            *(f"{row['epoch']},{','.join(repr(row[c]) for c in cols)}\n" for row in self.epochs),
+        )
 
 
 def _sha256(*arrays):
@@ -182,10 +180,10 @@ def _graph_hash(graph):
 def _dump_bad_batch(out_dir, epoch, step, batch, na_ids):
     if not out_dir:
         return ""
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "nan_batch.npz")
+    buf = io.BytesIO()
     np.savez(
-        path,
+        buf,
         epoch=np.array([epoch]),
         step=np.array([step]),
         users=batch.users,
@@ -193,6 +191,7 @@ def _dump_bad_batch(out_dir, epoch, step, batch, na_ids):
         neg_items=batch.neg_items,
         na_items=na_ids if na_ids is not None else np.zeros(0, dtype=np.int64),
     )
+    write_file(path, buf.getbuffer())
     return path
 
 
@@ -365,7 +364,6 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
     if best_state is not None:
         model.params.load_state(best_state)
     if checkpoint_path:
-        os.makedirs(out_dir, exist_ok=True)
         save_checkpoint(checkpoint_path, model.params.state_arrays())
 
     if best_z is None:
@@ -418,27 +416,17 @@ def run_variant(name, cfg, table, features_visual, features_textual,
 
 def ablate(cfg, variants, table, features_visual, features_textual, out_dir=None):
     """Train the requested variants and tabulate their test metrics."""
+    cols = ("recall@10", "recall@20", "ndcg@10", "ndcg@20")
     rows = []
     for name in variants:
         run_dir = os.path.join(out_dir, name) if out_dir else None
         manifest = run_variant(name, cfg, table, features_visual, features_textual, run_dir)
         metrics = manifest.test_metrics or manifest.val_metrics
-        rows.append(
-            {
-                "variant": name,
-                "recall@10": metrics.get("recall@10", math.nan),
-                "recall@20": metrics.get("recall@20", math.nan),
-                "ndcg@10": metrics.get("ndcg@10", math.nan),
-                "ndcg@20": metrics.get("ndcg@20", math.nan),
-            }
-        )
+        rows.append({"variant": name, **{c: metrics.get(c, math.nan) for c in cols}})
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "ablation.csv"), "w", encoding="utf-8") as fh:
-            fh.write("variant,recall@10,recall@20,ndcg@10,ndcg@20\n")
-            for row in rows:
-                fh.write(
-                    f"{row['variant']},{row['recall@10']!r},{row['recall@20']!r},"
-                    f"{row['ndcg@10']!r},{row['ndcg@20']!r}\n"
-                )
+        write_file(
+            os.path.join(out_dir, "ablation.csv"),
+            f"variant,{','.join(cols)}\n",
+            *(f"{row['variant']},{','.join(repr(row[c]) for c in cols)}\n" for row in rows),
+        )
     return rows

@@ -332,6 +332,20 @@ def test_train_evaluate_ablate(pipeline, capsys):
     assert stdout.splitlines()[0].startswith("variant")
     assert (abl / "ablation.csv").exists()
     assert (abl / "no_na" / "manifest.json").exists()
+    # Every artifact of the pipeline (raw, prepared, graphs, runs) was renamed into place.
+    assert sorted(root.rglob("*.tmp")) == []
+
+
+def test_commands_create_output_directories(pipeline, tmp_path):
+    _, _, prep, graph, _ = pipeline
+    fused = tmp_path / "new" / "fused.tmg"
+    assert _run(["build-graph", "--prepared", str(prep), "--out", str(fused),
+                 "--knn-k", "4"]) == 0
+    assert _digest(fused) == _digest(graph)
+    pruned = tmp_path / "other" / "deeper" / "pruned.tmg"
+    assert _run(["prune", "--graph", str(fused), "--out", str(pruned), "--k", "3"]) == 0
+    assert load_graph(pruned).nnz > 0
+    assert sorted(tmp_path.rglob("*.tmp")) == []
 
 
 @pytest.fixture(scope="module")
@@ -374,6 +388,24 @@ def test_evaluate_rejects_unknown_manifest_config_key(trained, tmp_path, capsys)
     assert _run(["evaluate", "--run", str(run)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "hop_order" in err
+
+
+@pytest.mark.parametrize("key, value, expected", [
+    ("eval_topn", 5, "a list of integers"),
+    ("embed_dim", "x", "an integer"),
+], ids=["eval_topn-int", "embed_dim-str"])
+def test_evaluate_rejects_mistyped_manifest_config(trained, tmp_path, capsys, key, value,
+                                                   expected):
+    run = tmp_path / "mistyped"
+    shutil.copytree(trained, run)
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["config"][key] = value
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert _run(["evaluate", "--run", str(run), "--out", str(tmp_path / "m")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {run / 'manifest.json'}: config key {key!r}: expected {expected}" in err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_evaluate_rejects_manifest_without_config(trained, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Configuration defaults, validation rules, and file/flag layering."""
 
+import re
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from toporec.config import (
     ConfigWarning,
     TrainConfig,
+    config_from_dict,
     load_config_file,
     resolve_config,
     validate_config,
@@ -85,6 +87,30 @@ def test_flag_coercion():
         resolve_config(flag_overrides={"learning_rate": 0.01})
 
 
+def test_config_from_dict_checks_each_value_against_its_field():
+    cfg = config_from_dict({"lr": 1, "eval_topn": [5, 15], "use_visual": False, "seed": 3})
+    assert (cfg.lr, cfg.eval_topn, cfg.use_visual, cfg.seed) == (1, (5, 15), False, 3)
+    assert config_from_dict(TrainConfig().as_dict()) == TrainConfig()
+    base = TrainConfig(seed=9)
+    assert config_from_dict({"lr": 5e-4}, base=base) == TrainConfig(seed=9, lr=5e-4)
+    bad = [
+        ({"seed": True}, "config key 'seed': expected an integer, got True"),
+        ({"embed_dim": 8.0}, "expected an integer"),
+        ({"embed_dim": "8"}, "expected an integer"),
+        ({"lr": "0.1"}, "config key 'lr': expected a number"),
+        ({"lr": False}, "expected a number"),
+        ({"use_visual": 1}, "expected a boolean"),
+        ({"dtype": 32}, "expected a string"),
+        ({"eval_topn": 5}, "expected a list of integers"),
+        ({"eval_topn": [5, True]}, "expected a list of integers"),
+        ({"eval_topn": None}, "expected a list of integers"),
+        ({"hop_order": 1}, "run.json: unknown config key 'hop_order'"),
+    ]
+    for values, message in bad:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            config_from_dict(values, "run.json")
+
+
 def test_none_overrides_are_skipped():
     cfg = resolve_config(flag_overrides={"lr": None, "seed": 9})
     assert cfg.lr == 1e-3
@@ -116,6 +142,11 @@ def test_config_file_rejects_unknown_entries(tmp_path):
     bad_key.write_text("[train]\nlearning_rate = 0.1\n")
     with pytest.raises(ValueError, match="learning_rate"):
         load_config_file(bad_key)
+
+    bad_value = tmp_path / "v.ini"
+    bad_value.write_text("[train]\nembed_dim = wide\n")
+    with pytest.raises(ValueError, match=re.escape(f"{bad_value}: config key 'embed_dim'")):
+        load_config_file(bad_value)
 
     bad_section = tmp_path / "s.ini"
     bad_section.write_text("[model]\nlr = 0.1\n")

@@ -1,6 +1,8 @@
 """Interaction parsing, splitting, negative sampling, and feature IO."""
 
+import os
 import re
+import stat
 from contextlib import nullcontext
 
 import numpy as np
@@ -22,6 +24,7 @@ from toporec.data import (
     save_features,
     save_prepared,
     save_split,
+    write_file,
 )
 
 
@@ -289,6 +292,52 @@ def test_features_with_trailing_bytes_fail_naming_the_offset(tmp_path, extra):
     message = f"{path}: {extra} bytes follow the last payload, from byte {size}"
     with pytest.raises(ValueError, match=re.escape(message)):
         load_features(path, "visual")
+
+
+def test_write_file_joins_text_and_bytes_and_creates_the_directory(tmp_path):
+    path = tmp_path / "new" / "sub" / "out.bin"
+    write_file(path, "é\n", b"\x00\x01", np.array([1.0], dtype="<f4"), bytearray(b"!"))
+    assert path.read_bytes() == "é\n".encode("utf-8") + b"\x00\x01" + b"\x00\x00\x80\x3f!"
+    write_file(path, "again")
+    assert path.read_bytes() == b"again"
+    assert os.listdir(path.parent) == ["out.bin"]
+
+
+def _fail_on_replace(monkeypatch):
+    def refuse(src, dst):
+        raise OSError("replace refused")
+    monkeypatch.setattr(os, "replace", refuse)
+    return ("head\n", "tail\n")
+
+
+@pytest.mark.parametrize("chunks, error", [
+    # A chunk fails halfway through the file: one that is neither text
+    # nor bytes, and text with a lone surrogate, which UTF-8 cannot encode.
+    (lambda mp: ("head\n", b"more", object(), "tail\n"), TypeError),
+    (lambda mp: ("head\n", "bad \ud800\n"), UnicodeEncodeError),
+    # Every chunk is out, but the rename fails.
+    (_fail_on_replace, OSError),
+], ids=["unwritable-chunk", "unencodable-text", "replace-fails"])
+def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, chunks, error):
+    path = tmp_path / "out.txt"
+    write_file(path, "old contents\n")
+    with pytest.raises(error):
+        write_file(path, *chunks(monkeypatch))
+    monkeypatch.undo()
+    assert path.read_text() == "old contents\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_write_file_gives_the_mode_bits_of_open(tmp_path):
+    old = os.umask(0o022)
+    try:
+        write_file(tmp_path / "helper.txt", "x")
+        with open(tmp_path / "plain.txt", "w") as fh:
+            fh.write("x")
+    finally:
+        os.umask(old)
+    modes = [stat.S_IMODE(os.stat(tmp_path / n).st_mode) for n in ("helper.txt", "plain.txt")]
+    assert modes[0] == modes[1] == 0o644
 
 
 def test_features_reject_non_finite(tmp_path):

@@ -210,6 +210,17 @@ def test_checkpoint_with_trailing_bytes_fails_naming_the_offset(tmp_path, extra)
         load_checkpoint(path)
 
 
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path):
+    path = tmp_path / "c.tmc"
+    first = {"a": np.arange(4.0).reshape(2, 2)}
+    save_checkpoint(path, first)
+    with pytest.raises(ValueError, match="'b' has shape"):
+        save_checkpoint(path, {"a": np.zeros((2, 2)), "b": np.zeros((2, 2, 2))})
+    loaded = load_checkpoint(path)
+    assert set(loaded) == {"a"} and np.array_equal(loaded["a"], first["a"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.tmc"]
+
+
 def test_checkpoint_through_param_store(tmp_path):
     store = ParamStore()
     store.add("u", np.arange(6, dtype=np.float32).reshape(2, 3))

@@ -1,5 +1,6 @@
-"""The package's exported names and the README's commands."""
+"""The package's exported names, its one file writer, and the README's commands."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -12,6 +13,13 @@ import toporec
 from toporec.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SOURCES = sorted((Path(toporec.__file__).parent).glob("*.py"))
+# Attribute calls that write a file or make a directory, by owner (None: any owner).
+WRITERS = {
+    "np": {"save", "savez", "savez_compressed", "savetxt"},
+    "os": {"makedirs", "mkdir"},
+    None: {"tofile", "write_text", "write_bytes"},
+}
 MODULES = sorted(m.name for m in pkgutil.iter_modules(toporec.__path__, "toporec."))
 
 
@@ -39,3 +47,55 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(command, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
+
+
+def _writes(tree):
+    """(line, call) of each call in `tree` that can create or change a file,
+    outside `write_file`. numpy savers into an `io.BytesIO()` buffer write
+    no file and pass."""
+    inside_helper, buffers = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "write_file":
+            inside_helper.update(id(n) for n in ast.walk(node))
+        if isinstance(node, ast.Assign) and ast.unparse(node.value) == "io.BytesIO()":
+            buffers.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in inside_helper:
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
+                found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(func, ast.Attribute):
+            owner = ast.unparse(func.value)
+            if func.attr in WRITERS[None] or func.attr in WRITERS.get(owner, ()):
+                target = node.args[0] if node.args else None
+                if not (owner == "np" and isinstance(target, ast.Name) and target.id in buffers):
+                    found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_files_are_written_only_through_write_file(path):
+    tree = ast.parse(path.read_text(), str(path))
+    found = _writes(tree)
+    assert not found, f"{path.name} writes outside data.write_file: {found}"
+    helpers = [n for n in ast.walk(tree)
+               if isinstance(n, ast.FunctionDef) and n.name == "write_file"]
+    assert not helpers or path.name == "data.py", "write_file is defined only in data.py"
+
+
+def test_write_guard_catches_each_writer():
+    snippets = [
+        "open(p, 'w')", "open(p, mode='ab')", "open(p, 'r+')", "open(p, 'x')", "open(p, m)",
+        "np.save(p, a)", "np.savez(p, a=a)", "np.savetxt(p, a)", "a.tofile(p)",
+        "os.makedirs(d)", "Path(p).write_text('x')", "buf.tofile(p)",
+    ]
+    for snippet in snippets:
+        assert len(_writes(ast.parse(snippet))) == 1, snippet
+    allowed = "open(p)\nopen(p, 'rb')\nbuf = io.BytesIO()\nnp.savez(buf, a=a)\nmanifest.save(d)\n" \
+        "def write_file(path):\n    open(path, 'wb')\n    os.makedirs(d)\n"
+    assert _writes(ast.parse(allowed)) == []
