@@ -23,7 +23,6 @@ import scipy.sparse as sp
 
 __all__ = [
     "Tensor",
-    "SparseMatrix",
     "add",
     "sub",
     "mul",
@@ -385,29 +384,13 @@ def weighted_infonce(x, anchor_rows, weights, temperature):
     return _from_op(np.asarray(loss, dtype=dtype).reshape(1, 1), (x,), back)
 
 
-class SparseMatrix:
-    """Constant sparse operand for spmm; caches its transpose."""
-
-    def __init__(self, matrix, _transpose=None):
-        self.mat = matrix.tocsr()
-        self.mat_t = self.mat.T.tocsr() if _transpose is None else _transpose
-        self.shape = self.mat.shape
-
-    def transposed(self):
-        out = SparseMatrix.__new__(SparseMatrix)
-        out.mat = self.mat_t
-        out.mat_t = self.mat
-        out.shape = self.mat_t.shape
-        return out
-
-
 def spmm(s, x):
-    """s @ x for a constant SparseMatrix s and dense tensor x."""
+    """s @ x for a constant scipy sparse matrix s and dense tensor x."""
     if s.shape[1] != x.rows:
         raise ValueError(f"spmm: inner dims differ, {s.shape} @ {x.shape}")
     dtype = x.values.dtype
-    out = np.asarray(s.mat @ x.values).astype(dtype, copy=False)
-    return _from_op(out, (x,), lambda g: (np.asarray(s.mat_t @ g).astype(dtype, copy=False),))
+    out = np.asarray(s @ x.values).astype(dtype, copy=False)
+    return _from_op(out, (x,), lambda g: (np.asarray(s.T @ g).astype(dtype, copy=False),))
 
 
 def finite_diff_check(loss_fn, params, h=1e-4, max_coords_per_param=None, rng=None):

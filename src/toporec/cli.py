@@ -39,7 +39,9 @@ from .metrics import evaluate, write_metrics_csv, write_metrics_json
 from .model import build_propagation_matrix
 from .optim import load_checkpoint
 from .synth import make_clustered_dataset
-from .trainer import VARIANTS, ablate, build_item_graph, build_model, data_hash, fit
+from .trainer import (
+    VARIANTS, TrainingAborted, ablate, build_item_graph, build_model, data_hash, fit,
+)
 
 
 def _log(**kv):
@@ -218,9 +220,6 @@ def cmd_ablate(args):
     cfg = _resolve(args)
     table, fv, ft = load_prepared(args.prepared)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    for v in variants:
-        if v not in VARIANTS:
-            raise ValueError(f"unknown variant {v!r}; expected one of {VARIANTS}")
     rows = ablate(cfg, variants, table, fv, ft, out_dir=args.out)
     _log(event="ablate", variants=",".join(variants), out=args.out)
     header = f"{'variant':<12} {'R@10':>8} {'R@20':>8} {'N@10':>8} {'N@20':>8}"
@@ -309,7 +308,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, OSError) as exc:
+    except (ValueError, OSError, TrainingAborted) as exc:
         _log(event="error", command=args.command)
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,7 +2,8 @@
 
 Resolution order is defaults, then the config file, then command-line
 flags. Values outside the supported search grids are accepted but
-warned about; a few settings are hard requirements and raise instead.
+warned about; values no run can use are rejected when a `TrainConfig`
+is made.
 """
 
 from __future__ import annotations
@@ -34,10 +35,22 @@ PRUNE_K_RANGE = (3, 10)
 NA_WEIGHT_RANGE = (0.0, 2.0)
 PRUNE_MODES = ("tps", "none", "random")
 ANCHOR_MODES = ("independent", "bpr_batch")
+_DTYPES = {"float32": np.float32, "float64": np.float64}
+# Fields whose smallest legal value is 0, and those whose smallest is 1.
+_NON_NEGATIVE = ("seed", "lr", "l2_weight", "patience", "gcn_layers")
+_POSITIVE = ("batch_size", "embed_dim", "hidden_dim", "depth", "knn_k", "prune_k",
+             "max_epochs", "eval_stride")
+# Fields outside any search grid that are warned about when not at their default.
+_WARN_OFF_DEFAULT = ("temperature", "visual_weight", "knn_k", "gcn_layers", "batch_size",
+                     "embed_dim", "hidden_dim", "dropout", "max_epochs", "patience")
 
 
 @dataclass
 class TrainConfig:
+    """One run's settings. Making one (directly, by `dataclasses.replace`
+    or from flags, an INI file or a run manifest) raises a ValueError on
+    any value no run can use."""
+
     seed: int = 42
     lr: float = 1e-3
     batch_size: int = 2048
@@ -64,11 +77,35 @@ class TrainConfig:
     eval_topn: tuple = (10, 20)
     dtype: str = "float32"
 
+    def __post_init__(self):
+        self.eval_topn = tuple(self.eval_topn)
+        topn = self.eval_topn
+        rules = [
+            (name, getattr(self, name) >= least, f"be >= {least}")
+            for least, names in ((0, _NON_NEGATIVE), (1, _POSITIVE))
+            for name in names
+        ]
+        rules += [
+            ("temperature", self.temperature > 0, "be positive"),
+            ("prune_mode", self.prune_mode in PRUNE_MODES, f"be one of {PRUNE_MODES}"),
+            ("na_anchor_mode", self.na_anchor_mode in ANCHOR_MODES, f"be one of {ANCHOR_MODES}"),
+            ("visual_weight", 0.0 <= self.visual_weight <= 1.0, "be in [0, 1]"),
+            ("na_weight", self.na_weight >= 0, "be non-negative"),
+            ("dropout", 0.0 <= self.dropout < 1.0, "be in [0, 1)"),
+            ("eval_topn", len(topn) > 0 and min(topn) >= 1, "hold at least one cutoff, each >= 1"),
+            ("dtype", self.dtype in _DTYPES, "be float32 or float64"),
+        ]
+        # Each rule tests what must hold, so NaN, which fails every comparison, breaks it.
+        for name, ok, what in rules:
+            if not ok:
+                value = getattr(self, name)
+                shown = repr(value) if isinstance(value, str) else value
+                raise ValueError(f"{name} must {what}, got {shown}")
+        if not (self.use_visual or self.use_textual):
+            raise ValueError("at least one modality must be enabled")
+
     def numpy_dtype(self):
-        try:
-            return {"float32": np.float32, "float64": np.float64}[self.dtype]
-        except KeyError:
-            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}") from None
+        return _DTYPES[self.dtype]
 
     def as_dict(self):
         out = {}
@@ -79,31 +116,8 @@ class TrainConfig:
 
 
 def validate_config(cfg):
-    """Raise on unsupported settings; warn when off the search grids."""
-    if cfg.temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {cfg.temperature}")
-    if cfg.prune_mode not in PRUNE_MODES:
-        raise ValueError(f"prune_mode must be one of {PRUNE_MODES}, got {cfg.prune_mode!r}")
-    if cfg.na_anchor_mode not in ANCHOR_MODES:
-        raise ValueError(
-            f"na_anchor_mode must be one of {ANCHOR_MODES}, got {cfg.na_anchor_mode!r}"
-        )
-    if not (cfg.use_visual or cfg.use_textual):
-        raise ValueError("at least one modality must be enabled")
-    if not 0.0 <= cfg.visual_weight <= 1.0:
-        raise ValueError(f"visual_weight must be in [0, 1], got {cfg.visual_weight}")
-    if cfg.na_weight < 0:
-        raise ValueError(f"na_weight must be non-negative, got {cfg.na_weight}")
-    if cfg.batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
-    if cfg.eval_stride < 1:
-        raise ValueError(f"eval_stride must be >= 1, got {cfg.eval_stride}")
-    if len(cfg.eval_topn) == 0 or min(cfg.eval_topn) < 1:
-        raise ValueError(
-            f"eval_topn must hold at least one cutoff, each >= 1, got {tuple(cfg.eval_topn)}"
-        )
-    cfg.numpy_dtype()
-
+    """Warn about settings off the search grids or, for settings no grid
+    covers, off their defaults; `TrainConfig` itself rejects bad values."""
     checks = [
         (cfg.lr in LR_GRID, f"lr={cfg.lr} is outside the searched grid {LR_GRID}"),
         (cfg.depth in DEPTH_GRID, f"depth={cfg.depth} is outside the searched grid {DEPTH_GRID}"),
@@ -116,17 +130,11 @@ def validate_config(cfg):
             PRUNE_K_RANGE[0] <= cfg.prune_k <= PRUNE_K_RANGE[1],
             f"prune_k={cfg.prune_k} is outside the searched range {PRUNE_K_RANGE}",
         ),
-        (cfg.temperature == 1.0, f"temperature={cfg.temperature} differs from the default 1.0"),
-        (cfg.visual_weight == 0.1, f"visual_weight={cfg.visual_weight} differs from the default 0.1"),
-        (cfg.knn_k == 10, f"knn_k={cfg.knn_k} differs from the default 10"),
-        (cfg.gcn_layers == 2, f"gcn_layers={cfg.gcn_layers} differs from the default 2"),
-        (cfg.batch_size == 2048, f"batch_size={cfg.batch_size} differs from the default 2048"),
-        (cfg.embed_dim == 64, f"embed_dim={cfg.embed_dim} differs from the default 64"),
-        (cfg.hidden_dim == 512, f"hidden_dim={cfg.hidden_dim} differs from the default 512"),
-        (cfg.dropout == 0.0, f"dropout={cfg.dropout} differs from the default 0.0"),
-        (cfg.max_epochs == 1000, f"max_epochs={cfg.max_epochs} differs from the default 1000"),
-        (cfg.patience == 20, f"patience={cfg.patience} differs from the default 20"),
     ]
+    defaults = TrainConfig()
+    for name in _WARN_OFF_DEFAULT:
+        value, default = getattr(cfg, name), getattr(defaults, name)
+        checks.append((value == default, f"{name}={value} differs from the default {default}"))
     for ok, message in checks:
         if not ok:
             warnings.warn(message, ConfigWarning)
@@ -178,8 +186,10 @@ def config_from_dict(values, source="", base=None):
         what, ok, _ = _KINDS[_FIELD_TYPES[name]]
         if not ok(value):
             raise ValueError(f"{prefix}config key {name!r}: expected {what}, got {value!r}")
-    typed = {k: tuple(v) if isinstance(v, list) else v for k, v in values.items()}
-    return replace(base or TrainConfig(), **typed)
+    try:
+        return replace(base or TrainConfig(), **values)
+    except ValueError as exc:
+        raise ValueError(f"{prefix}{exc}") from None
 
 
 def load_config_file(path):

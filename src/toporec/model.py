@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autograd as ag
-from .autograd import SparseMatrix, Tensor
+from .autograd import Tensor
 from .data import ROLE_TRAIN
 from .itemgraph import SparseGraph
 from .optim import ParamStore, xavier_uniform
@@ -158,7 +158,8 @@ class MultimodalRecommender:
 
 
 def build_propagation_matrix(table, dtype=np.float32):
-    """Symmetrically normalized user-item matrix over train edges.
+    """Symmetrically normalized user-item matrix over train edges, as
+    (CSR matrix, its transpose).
 
     Entry (u, i) is 1/sqrt(deg_u * deg_i); zero-degree rows and columns
     stay zero, so isolated nodes propagate nothing.
@@ -172,8 +173,7 @@ def build_propagation_matrix(table, dtype=np.float32):
     mat = sp.csr_matrix(
         (vals.astype(dtype), (u, i)), shape=(table.num_users, table.num_items)
     )
-    s_ui = SparseMatrix(mat)
-    return s_ui, s_ui.transposed()
+    return mat, mat.T
 
 
 def bpr_loss(z_users, z_items, batch):

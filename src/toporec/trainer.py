@@ -103,8 +103,6 @@ def build_item_graph(cfg, features_visual, features_textual, corrupt_eps=0.0):
         parts.append(build_knn_graph(features_visual, cfg.knn_k, binarize=cfg.binarize_knn))
     if cfg.use_textual:
         parts.append(build_knn_graph(features_textual, cfg.knn_k, binarize=cfg.binarize_knn))
-    if not parts:
-        raise ValueError("at least one modality must be enabled")
     if len(parts) == 2:
         fused = fuse_graphs(parts[0], parts[1], cfg.visual_weight)
     else:
@@ -367,10 +365,8 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
         save_checkpoint(checkpoint_path, model.params.state_arrays())
 
     if best_z is None:
-        # No validation pass kept an epoch: score the final weights.
+        # No validation split: score the final weights.
         best_z = model.embeddings(features, s_ui, s_iu)
-        if has_val:
-            val_metrics = evaluate(*best_z, table, "val", ns=cfg.eval_topn)
     test_metrics = {}
     if has_test:
         test_metrics = evaluate(*best_z, table, "test", ns=cfg.eval_topn)
@@ -416,6 +412,8 @@ def run_variant(name, cfg, table, features_visual, features_textual,
 
 def ablate(cfg, variants, table, features_visual, features_textual, out_dir=None):
     """Train the requested variants and tabulate their test metrics."""
+    for name in variants:
+        variant_config(cfg, name)  # an unknown name fails before any training
     cols = ("recall@10", "recall@20", "ndcg@10", "ndcg@20")
     rows = []
     for name in variants:

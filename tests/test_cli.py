@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from toporec.autograd import Tensor
 from toporec.cli import main
 from toporec.config import ConfigWarning
 from toporec.data import load_prepared
@@ -258,8 +259,17 @@ def test_train_without_graph_names_missing_steps(pipeline, capsys):
         (["--eval-topn", "0,20"], "each >= 1"),
         (["--batch-size", "0"], "batch_size must be >= 1"),
         (["--eval-stride", "0"], "eval_stride must be >= 1"),
+        (["--embed-dim", "0"], "embed_dim must be >= 1, got 0"),
+        (["--hidden-dim", "0"], "hidden_dim must be >= 1, got 0"),
+        (["--lr", "-0.01"], "lr must be >= 0, got -0.01"),
+        (["--l2-weight", "-0.1"], "l2_weight must be >= 0, got -0.1"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--dropout", "1.5"], "dropout must be in [0, 1), got 1.5"),
+        (["--max-epochs", "0"], "max_epochs must be >= 1, got 0"),
     ],
-    ids=["eval-topn-empty", "eval-topn-zero", "batch-size-zero", "eval-stride-zero"],
+    ids=["eval-topn-empty", "eval-topn-zero", "batch-size-zero", "eval-stride-zero",
+         "embed-dim-zero", "hidden-dim-zero", "lr-negative", "l2-weight-negative",
+         "seed-negative", "dropout-above-one", "max-epochs-zero"],
 )
 def test_train_rejects_bad_settings_before_training(pipeline, tmp_path, capsys, monkeypatch,
                                                     flags, message):
@@ -275,6 +285,19 @@ def test_train_rejects_bad_settings_before_training(pipeline, tmp_path, capsys, 
     err = capsys.readouterr().err
     assert "error: " in err and message in err
     assert not (tmp_path / "run").exists()
+
+
+def test_train_reports_non_finite_loss_as_error_line(pipeline, tmp_path, capsys, monkeypatch):
+    _, _, prep, _, pruned = pipeline
+    monkeypatch.setattr("toporec.trainer.joint_loss",
+                        lambda *args: Tensor(np.full((1, 1), np.nan)))
+    run = tmp_path / "run"
+    code = _run(["train", "--prepared", str(prep), "--graph", str(pruned), "--out", str(run),
+                 "--max-epochs", "1", "--embed-dim", "8", "--hidden-dim", "8"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: non-finite loss at epoch 0 step 0" in err
+    assert str(run / "nan_batch.npz") in err
 
 
 def test_train_evaluate_ablate(pipeline, capsys):
@@ -408,6 +431,34 @@ def test_evaluate_rejects_mistyped_manifest_config(trained, tmp_path, capsys, ke
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("key, value, expected", [
+    ("eval_topn", [], "eval_topn must hold at least one cutoff, each >= 1, got ()"),
+    ("embed_dim", -1, "embed_dim must be >= 1, got -1"),
+    ("embed_dim", 0, "embed_dim must be >= 1, got 0"),
+], ids=["eval_topn-empty", "embed_dim-negative", "embed_dim-zero"])
+def test_evaluate_applies_config_rules_to_manifest(trained, tmp_path, capsys, monkeypatch, key,
+                                                   value, expected):
+    run = tmp_path / "out_of_range"
+    shutil.copytree(trained, run)
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["config"][key] = value
+    (run / "manifest.json").write_text(json.dumps(manifest))
+
+    def no_loading(*args, **kwargs):
+        raise AssertionError("load_prepared ran with a bad manifest config")
+
+    monkeypatch.setattr("toporec.cli.load_prepared", no_loading)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["evaluate", "--run", str(run), "--out", str(tmp_path / "m")]) == 1
+    assert not [w for w in caught if issubclass(w.category, ConfigWarning)]
+    err = capsys.readouterr().err
+    assert f"error: {run / 'manifest.json'}: {expected}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_evaluate_rejects_manifest_without_config(trained, tmp_path, capsys):
     run = tmp_path / "no_config"
     run.mkdir()
@@ -500,6 +551,15 @@ def test_config_file_and_flags_layer(pipeline, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "error:" in err and "unknown config section [paths]" in err
+
+    # The file is checked on its own: a flag does not mend a bad file value.
+    ini.write_text("[train]\nembed_dim = 0\n")
+    code = _run(["train", "--prepared", str(prep), "--graph", str(pruned),
+                 "--out", str(tmp_path / "run_bad"), "--config", str(ini),
+                 "--embed-dim", "8"])
+    assert code == 1
+    assert f"error: {ini}: embed_dim must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "run_bad").exists()
 
 
 def test_stderr_logging_is_key_value(pipeline, tmp_path, capsys):

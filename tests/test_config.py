@@ -2,6 +2,7 @@
 
 import re
 import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -47,6 +48,43 @@ def test_hard_validation_errors():
     for topn in ((), (0, 20), (10, -1)):
         with pytest.raises(ValueError, match="eval_topn"):
             validate_config(TrainConfig(eval_topn=topn))
+    # The rules hold for every TrainConfig, not only validated ones.
+    bad = [
+        ({"prune_mode": "TPS"}, "prune_mode must be one of ('tps', 'none', 'random'), got 'TPS'"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"lr": -0.01}, "lr must be >= 0, got -0.01"),
+        ({"lr": float("nan")}, "lr must be >= 0, got nan"),
+        ({"l2_weight": -0.1}, "l2_weight must be >= 0, got -0.1"),
+        ({"patience": -1}, "patience must be >= 0, got -1"),
+        ({"gcn_layers": -1}, "gcn_layers must be >= 0, got -1"),
+        ({"embed_dim": 0}, "embed_dim must be >= 1, got 0"),
+        ({"hidden_dim": 0}, "hidden_dim must be >= 1, got 0"),
+        ({"depth": 0}, "depth must be >= 1, got 0"),
+        ({"knn_k": 0}, "knn_k must be >= 1, got 0"),
+        ({"prune_k": 0}, "prune_k must be >= 1, got 0"),
+        ({"max_epochs": 0}, "max_epochs must be >= 1, got 0"),
+        ({"dropout": 1.0}, "dropout must be in [0, 1), got 1.0"),
+        ({"dropout": -0.5}, "dropout must be in [0, 1), got -0.5"),
+    ]
+    for values, message in bad:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrainConfig(**values)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(TrainConfig(), **values)
+    edge = TrainConfig(seed=0, lr=0.0, patience=0, gcn_layers=0, dropout=0.5, eval_topn=[5])
+    assert edge.eval_topn == (5,)
+
+
+@pytest.mark.parametrize(
+    "name", [f.name for f in fields(TrainConfig) if f.type in ("int", "float")]
+)
+def test_every_numeric_field_has_a_rule(name):
+    with pytest.raises(ValueError, match=rf"^{name} must be "):
+        TrainConfig(**{name: -1})
+    with pytest.raises(ValueError, match=rf"^run\.json: {name} must be "):
+        config_from_dict({name: -1}, "run.json")
+    with pytest.raises(ValueError, match=rf"^{name} must be "):
+        resolve_config(flag_overrides={name: "-1"})
 
 
 def test_off_grid_values_warn_but_pass():
@@ -61,6 +99,28 @@ def test_off_grid_values_warn_but_pass():
     with pytest.warns(ConfigWarning, match="knn_k=7"):
         cfg = validate_config(TrainConfig(knn_k=7))
     assert cfg.knn_k == 7
+
+
+def test_off_default_warnings_name_the_value_and_the_default():
+    cfg = TrainConfig(temperature=0.5, visual_weight=0.2, knn_k=7, gcn_layers=3,
+                      batch_size=64, embed_dim=8, hidden_dim=16, dropout=0.1,
+                      max_epochs=5, patience=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        validate_config(cfg)
+    assert [str(w.message) for w in caught] == [
+        "temperature=0.5 differs from the default 1.0",
+        "visual_weight=0.2 differs from the default 0.1",
+        "knn_k=7 differs from the default 10",
+        "gcn_layers=3 differs from the default 2",
+        "batch_size=64 differs from the default 2048",
+        "embed_dim=8 differs from the default 64",
+        "hidden_dim=16 differs from the default 512",
+        "dropout=0.1 differs from the default 0.0",
+        "max_epochs=5 differs from the default 1000",
+        "patience=2 differs from the default 20",
+    ]
+    assert all(w.category is ConfigWarning for w in caught)
 
 
 def test_numpy_dtype_mapping():
@@ -147,6 +207,11 @@ def test_config_file_rejects_unknown_entries(tmp_path):
     bad_value.write_text("[train]\nembed_dim = wide\n")
     with pytest.raises(ValueError, match=re.escape(f"{bad_value}: config key 'embed_dim'")):
         load_config_file(bad_value)
+
+    out_of_range = tmp_path / "r.ini"
+    out_of_range.write_text("[train]\nembed_dim = 0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{out_of_range}: embed_dim must be >= 1")):
+        load_config_file(out_of_range)
 
     bad_section = tmp_path / "s.ini"
     bad_section.write_text("[model]\nlr = 0.1\n")

@@ -216,13 +216,13 @@ def test_propagation_matrix_values_and_zero_degree():
     ]
     table = _table(edges, num_users=3, num_items=3)
     s_ui, s_iu = build_propagation_matrix(table, dtype=np.float64)
-    dense = s_ui.mat.toarray()
+    dense = s_ui.toarray()
     assert abs(dense[0, 0] - 1.0 / math.sqrt(2 * 2)) < 1e-15
     assert abs(dense[0, 1] - 1.0 / math.sqrt(2 * 1)) < 1e-15
     assert abs(dense[1, 0] - 1.0 / math.sqrt(1 * 2)) < 1e-15
     assert dense[2].sum() == 0.0  # user 2 has no train edge
     assert dense[:, 2].sum() == 0.0
-    assert np.array_equal(s_iu.mat.toarray(), dense.T)
+    assert np.array_equal(s_iu.toarray(), dense.T)
     oracle = propagation_oracle([(0, 0), (0, 1), (1, 0)], 3, 3)
     assert np.max(np.abs(dense - oracle)) < 1e-15
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from toporec.config import ConfigWarning, TrainConfig
-from toporec.data import InteractionTable, make_split
+from toporec.data import ROLE_TRAIN, ROLE_VAL, InteractionTable, make_split
 from toporec.itemgraph import SparseGraph, graphs_equal
 from toporec.metrics import evaluate
 from toporec.model import build_propagation_matrix
@@ -366,6 +366,39 @@ def test_run_variant_skips_graph_without_alignment():
         )
     assert manifest.graph_hash == ""
     assert all(row["loss_na"] == 0.0 for row in manifest.epochs)
+
+
+def test_ablate_checks_every_variant_before_training(tmp_path, monkeypatch):
+    data = _tiny_data()
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a variant trained before all names were checked")
+
+    monkeypatch.setattr("toporec.trainer.fit", no_training)
+    with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+        ablate(_tiny_config(), ("full", "bogus"), data.table, data.features_visual,
+               data.features_textual, out_dir=str(tmp_path / "ablate"))
+    assert not (tmp_path / "ablate").exists()
+
+
+def test_fit_without_validation_split_scores_the_final_weights(tmp_path):
+    data = _tiny_data()
+    table = data.table
+    roles = np.where(table.roles == ROLE_VAL, ROLE_TRAIN, table.roles)
+    table = InteractionTable(num_users=table.num_users, num_items=table.num_items,
+                             user_tokens=table.user_tokens, item_tokens=table.item_tokens,
+                             edges=table.edges, roles=roles)
+    cfg = _tiny_config(na_weight=0.0, max_epochs=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfigWarning)
+        manifest = fit(cfg, table, data.features_visual, data.features_textual)
+    assert len(manifest.epochs) == 2
+    assert manifest.best_epoch == -1 and manifest.val_metrics == {}
+    s_ui, s_iu = build_propagation_matrix(table, cfg.numpy_dtype())
+    features = {"visual": data.features_visual.values.astype(np.float32),
+                "textual": data.features_textual.values.astype(np.float32)}
+    z_users, z_items = manifest.model.embeddings(features, s_ui, s_iu)
+    assert manifest.test_metrics == evaluate(z_users, z_items, table, "test", ns=(10, 20))
 
 
 def test_ablate_tabulates_variants(tmp_path):
