@@ -8,14 +8,13 @@ command exits 0 only when its artifacts were written and validated.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields, replace
 
 import numpy as np
 
-from .config import TrainConfig, config_from_dict, load_config_file, resolve_config
+from .config import TrainConfig, load_config_file, resolve_config
 from .data import (
     FeatureMatrix,
     load_features,
@@ -40,7 +39,8 @@ from .model import build_propagation_matrix
 from .optim import load_checkpoint
 from .synth import make_clustered_dataset
 from .trainer import (
-    VARIANTS, TrainingAborted, ablate, build_item_graph, build_model, data_hash, fit,
+    VARIANTS, RunManifest, TrainingAborted, ablate, build_item_graph, build_model,
+    data_hash, fit,
 )
 
 
@@ -185,23 +185,26 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    manifest_path = _require(os.path.join(args.run, "manifest.json"), "run manifest", "train")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
-        raise ValueError(f"{manifest_path}: not a run manifest (it has no config object)")
-    prepared = args.prepared or manifest.get("prepared_dir")
+    manifest = RunManifest.load(args.run)
+    prepared = args.prepared or manifest.prepared_dir
     if not prepared:
         raise ValueError("manifest has no prepared_dir; pass --prepared")
-    cfg = config_from_dict(manifest["config"], manifest_path)
+    cfg = manifest.config
     table, fv, ft = load_prepared(prepared)
-    if data_hash(table) != manifest.get("data_hash"):
+    if data_hash(table) != manifest.data_hash:
         raise ValueError(
             f"prepared directory {prepared} holds other interactions or splits than "
-            f"the run was trained on (data_hash differs from {manifest_path})"
+            f"the run was trained on (data_hash differs from the manifest in {args.run})"
         )
+    for feats in (fv, ft):
+        dim = getattr(manifest, f"{feats.modality}_dim")
+        if getattr(cfg, f"use_{feats.modality}") and feats.dim != dim:
+            raise ValueError(
+                f"prepared directory {prepared} holds {feats.dim}-d {feats.modality} features, "
+                f"but the manifest in {args.run} records {feats.modality}_dim {dim}"
+            )
     model, features = build_model(cfg, table, {"visual": fv, "textual": ft})
-    ckpt = _require(os.path.join(args.run, "checkpoint.tmc"), "checkpoint", "train")
+    ckpt = _require(manifest.checkpoint_path, "checkpoint", "train")
     model.params.load_state(load_checkpoint(ckpt))
     s_ui, s_iu = build_propagation_matrix(table, cfg.numpy_dtype())
     z_users, z_items = model.embeddings(features, s_ui, s_iu)

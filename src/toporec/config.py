@@ -195,13 +195,16 @@ def config_from_dict(values, source="", base=None):
 def load_config_file(path):
     """Read an INI config whose one section is [train]; returns its overrides."""
     parser = configparser.ConfigParser()
-    with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
     train = {}
-    for section in parser.sections():
-        if section != "train":
-            raise ValueError(f"{path}: unknown config section [{section}]")
-        train = {key: _parse(key, value) for key, value in parser.items(section)}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+        for section in parser.sections():
+            if section != "train":
+                raise ValueError(f"{path}: unknown config section [{section}]")
+            train = {key: _parse(key, value) for key, value in parser.items(section)}
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: {' '.join(str(exc).split())}") from None
     config_from_dict(train, path)
     return train
 

@@ -19,12 +19,12 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import autograd as ag
-from .config import TrainConfig, validate_config
+from .config import TrainConfig, config_from_dict, validate_config
 from .data import ROLE_TEST, ROLE_TRAIN, ROLE_VAL, sample_bpr_triples, write_file
 from .itemgraph import build_knn_graph, corrupt_graph, fuse_graphs, random_prune, tps_prune
 from .metrics import evaluate
@@ -121,9 +121,11 @@ def build_item_graph(cfg, features_visual, features_textual, corrupt_eps=0.0):
 
 @dataclass
 class RunManifest:
-    """Everything needed to audit or reload one training run."""
+    """One training run: `fit` fills it in as it trains and sets a `model`
+    attribute, which is not saved; `save` writes the run directory and
+    `load` is its one reader."""
 
-    config: dict
+    config: TrainConfig
     seed: int
     data_hash: str
     feature_hashes: dict
@@ -132,19 +134,17 @@ class RunManifest:
     num_items: int
     visual_dim: int
     textual_dim: int
-    epochs: list
-    best_epoch: int
-    best_val_r20: float
-    checkpoint_path: str
-    test_metrics: dict
-    val_metrics: dict
+    epochs: list = field(default_factory=list)
+    best_epoch: int = -1
+    best_val_r20: float = math.nan
+    checkpoint_path: str = ""
+    test_metrics: dict = field(default_factory=dict)
+    val_metrics: dict = field(default_factory=dict)
     prepared_dir: str = ""
     graph_path: str = ""
-    model: object = field(default=None, repr=False, compare=False)
 
     def to_dict(self):
-        out = {k: v for k, v in self.__dict__.items() if k != "model"}
-        return out
+        return asdict(self)
 
     def save(self, out_dir):
         manifest = json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -155,6 +155,28 @@ class RunManifest:
             f"epoch,{','.join(cols)}\n",
             *(f"{row['epoch']},{','.join(repr(row[c]) for c in cols)}\n" for row in self.epochs),
         )
+
+    @classmethod
+    def load(cls, run_dir):
+        """The run saved in run_dir, its config checked; the checkpoint is
+        always run_dir's own, whatever path the file records."""
+        path = os.path.join(run_dir, "manifest.json")
+        if not os.path.exists(path):
+            raise FileNotFoundError(f"run manifest not found at {path}; run `toporec train` first")
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                saved = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if not isinstance(saved, dict) or not isinstance(saved.get("config"), dict):
+            raise ValueError(f"{path}: not a run manifest (it has no config object)")
+        values = {f.name: saved[f.name] for f in fields(cls) if f.name in saved}
+        values["config"] = config_from_dict(saved["config"], path)
+        values["checkpoint_path"] = os.path.join(run_dir, "checkpoint.tmc")
+        try:
+            return cls(**values)
+        except TypeError as exc:
+            raise ValueError(f"{path}: not a run manifest ({exc})") from None
 
 
 def _sha256(*arrays):
@@ -257,12 +279,23 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
     has_val = (table.roles == ROLE_VAL).any()
     has_test = (table.roles == ROLE_TEST).any()
 
-    epoch_rows = []
-    best_val = -np.inf
-    best_epoch = -1
+    run = RunManifest(
+        config=cfg,
+        seed=cfg.seed,
+        data_hash=data_hash(table),
+        feature_hashes={tag: _sha256(arr) for tag, arr in features.items()},
+        graph_hash=_graph_hash(na_graph),
+        num_users=table.num_users,
+        num_items=table.num_items,
+        visual_dim=model.cfg.visual_dim,
+        textual_dim=model.cfg.textual_dim,
+        checkpoint_path=os.path.join(out_dir, "checkpoint.tmc") if out_dir else "",
+        prepared_dir=prepared_dir,
+        graph_path=graph_path,
+    )
+    run.model = model
     best_state = None
     best_z = None
-    val_metrics = {}
     since_best = 0
     # A validation pass scores the reported cutoffs too, so the best
     # epoch's metrics and embeddings are kept rather than recomputed.
@@ -270,7 +303,6 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
     kept_keys = {"split", "num_users"} | {
         f"{name}@{n}" for name in ("recall", "ndcg") for n in cfg.eval_topn
     }
-    checkpoint_path = os.path.join(out_dir, "checkpoint.tmc") if out_dir else ""
 
     for epoch in range(cfg.max_epochs):
         bpr_total = 0.0
@@ -294,27 +326,12 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
                     na = na_batch_from_items(na_graph, pool, dtype)
                 if na is not None:
                     na_ids, anchor_rows, na_weights = na
-                    terms = [
-                        neighborhood_alignment_loss(
-                            ag.gather_rows(h_items, na_ids),
-                            anchor_rows,
-                            na_weights,
-                            cfg.temperature,
+                    tags = sorted(branches) if cfg.na_on_modalities else []
+                    for h in [h_items] + [branches[tag] for tag in tags]:
+                        term = neighborhood_alignment_loss(
+                            ag.gather_rows(h, na_ids), anchor_rows, na_weights, cfg.temperature
                         )
-                    ]
-                    if cfg.na_on_modalities:
-                        for tag in sorted(branches):
-                            terms.append(
-                                neighborhood_alignment_loss(
-                                    ag.gather_rows(branches[tag], na_ids),
-                                    anchor_rows,
-                                    na_weights,
-                                    cfg.temperature,
-                                )
-                            )
-                    l_na = terms[0]
-                    for extra in terms[1:]:
-                        l_na = ag.add(l_na, extra)
+                        l_na = term if l_na is None else ag.add(l_na, term)
             loss = joint_loss(l_bpr, l_na, cfg.na_weight)
             if not np.isfinite(loss.values).all():
                 dump = _dump_bad_batch(out_dir, epoch, step, batch, na_ids)
@@ -335,25 +352,25 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
             val = evaluate(z_users, z_items, table, "val", ns=val_cutoffs)
             val_r20 = val["recall@20"]
             val_n20 = val["ndcg@20"]
-            if val_r20 > best_val:
-                best_val = val_r20
-                best_epoch = epoch
+            if run.best_epoch < 0 or val_r20 > run.best_val_r20:
+                run.best_val_r20 = float(val_r20)
+                run.best_epoch = epoch
                 best_state = model.params.state_arrays()
                 # Copies: with no LightGCN layer z_users is the user_embed
                 # array, which the optimizer updates in place.
                 best_z = (z_users.copy(), z_items.copy())
-                val_metrics = {k: v for k, v in val.items() if k in kept_keys}
+                run.val_metrics = {k: v for k, v in val.items() if k in kept_keys}
                 since_best = 0
             else:
                 since_best += 1
-        epoch_rows.append(
+        run.epochs.append(
             {
                 "epoch": epoch,
                 "loss_bpr": bpr_total / steps_per_epoch,
                 "loss_na": na_total / steps_per_epoch,
                 "val_r20": val_r20,
                 "val_n20": val_n20,
-                "best_val_r20": best_val if best_val > -np.inf else math.nan,
+                "best_val_r20": run.best_val_r20,
             }
         )
         if has_val and since_best >= cfg.patience:
@@ -361,41 +378,15 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
 
     if best_state is not None:
         model.params.load_state(best_state)
-    if checkpoint_path:
-        save_checkpoint(checkpoint_path, model.params.state_arrays())
-
     if best_z is None:
         # No validation split: score the final weights.
         best_z = model.embeddings(features, s_ui, s_iu)
-    test_metrics = {}
     if has_test:
-        test_metrics = evaluate(*best_z, table, "test", ns=cfg.eval_topn)
-
-    manifest = RunManifest(
-        config=cfg.as_dict(),
-        seed=cfg.seed,
-        data_hash=data_hash(table),
-        feature_hashes={
-            tag: _sha256(arr) for tag, arr in features.items()
-        },
-        graph_hash=_graph_hash(na_graph),
-        num_users=table.num_users,
-        num_items=table.num_items,
-        visual_dim=model.cfg.visual_dim,
-        textual_dim=model.cfg.textual_dim,
-        epochs=epoch_rows,
-        best_epoch=best_epoch,
-        best_val_r20=float(best_val) if best_val > -np.inf else math.nan,
-        checkpoint_path=checkpoint_path,
-        test_metrics=test_metrics,
-        val_metrics=val_metrics,
-        prepared_dir=prepared_dir,
-        graph_path=graph_path,
-        model=model,
-    )
+        run.test_metrics = evaluate(*best_z, table, "test", ns=cfg.eval_topn)
     if out_dir:
-        manifest.save(out_dir)
-    return manifest
+        save_checkpoint(run.checkpoint_path, model.params.state_arrays())
+        run.save(out_dir)
+    return run
 
 
 def run_variant(name, cfg, table, features_visual, features_textual,

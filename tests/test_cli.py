@@ -13,7 +13,7 @@ import pytest
 from toporec.autograd import Tensor
 from toporec.cli import main
 from toporec.config import ConfigWarning
-from toporec.data import load_prepared
+from toporec.data import FeatureMatrix, load_prepared, save_features
 from toporec.itemgraph import load_graph
 from toporec.synth import make_clustered_dataset
 
@@ -471,6 +471,48 @@ def test_evaluate_rejects_manifest_without_config(trained, tmp_path, capsys):
     assert f"error: {run / 'manifest.json'}: not a run manifest" in err
 
 
+def test_evaluate_names_a_damaged_manifest(trained, tmp_path, capsys):
+    run = tmp_path / "bad_json"
+    shutil.copytree(trained, run)
+    (run / "manifest.json").write_text("{not json")
+    capsys.readouterr()
+    assert _run(["evaluate", "--run", str(run), "--out", str(tmp_path / "m")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {run / 'manifest.json'}: Expecting property name" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_evaluate_refuses_features_of_another_width(pipeline, trained, tmp_path, capsys):
+    _, _, prep, _, _ = pipeline
+    wide = tmp_path / "prep_wide"
+    shutil.copytree(prep, wide)
+    _, _, ft = load_prepared(str(prep))
+    values = np.random.default_rng(0).random((ft.num_items, 2 * ft.dim))
+    save_features(str(wide / "features_textual.tmf"), FeatureMatrix("textual", values))
+    capsys.readouterr()
+    # Same interactions and split, so only the widths tell the runs apart.
+    assert _run(["evaluate", "--run", str(trained), "--prepared", str(wide),
+                 "--out", str(tmp_path / "m")]) == 1
+    err = capsys.readouterr().err
+    assert (f"error: prepared directory {wide} holds {2 * ft.dim}-d textual features, "
+            f"but the manifest in {trained} records textual_dim {ft.dim}") in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_evaluate_rejects_manifest_without_a_field(trained, tmp_path, capsys):
+    run = tmp_path / "no_width"
+    shutil.copytree(trained, run)
+    manifest = json.loads((run / "manifest.json").read_text())
+    del manifest["visual_dim"]
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert _run(["evaluate", "--run", str(run), "--out", str(tmp_path / "m")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {run / 'manifest.json'}: not a run manifest (" in err
+    assert "visual_dim" in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_evaluate_reports_cut_checkpoint(trained, tmp_path, capsys):
     run = tmp_path / "cut_run"
     run.mkdir()
@@ -560,6 +602,23 @@ def test_config_file_and_flags_layer(pipeline, tmp_path, capsys):
     assert code == 1
     assert f"error: {ini}: embed_dim must be >= 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "run_bad").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "[train]\nlr = 0.001\nlr = 0.002\n",
+    "[train]\nlr = 0.001\n[train]\nseed = 1\n",
+    "lr = 0.001\n",
+], ids=["repeated-key", "repeated-section", "no-section-header"])
+def test_ini_file_mistakes_end_in_error_line(pipeline, tmp_path, capsys, text):
+    _, _, prep, _, _ = pipeline
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    capsys.readouterr()
+    assert _run(["build-graph", "--prepared", str(prep), "--out", str(tmp_path / "g.tmg"),
+                 "--config", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {ini}: " in err
+    assert "Traceback" not in err
 
 
 def test_stderr_logging_is_key_value(pipeline, tmp_path, capsys):

@@ -99,3 +99,29 @@ def test_write_guard_catches_each_writer():
     allowed = "open(p)\nopen(p, 'rb')\nbuf = io.BytesIO()\nnp.savez(buf, a=a)\nmanifest.save(d)\n" \
         "def write_file(path):\n    open(path, 'wb')\n    os.makedirs(d)\n"
     assert _writes(ast.parse(allowed)) == []
+
+
+RUN_FILES = ("manifest.json", "checkpoint.tmc", "epochs.csv")
+
+
+def _run_file_names(tree):
+    """(line, name) of each run-directory file name in a string literal,
+    f-string parts and docstrings included."""
+    return [(node.lineno, name) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            for name in RUN_FILES if name in node.value]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_run_directory_is_named_only_in_trainer(path):
+    found = _run_file_names(ast.parse(path.read_text(), str(path)))
+    if path.name == "trainer.py":
+        assert {name for _, name in found} == set(RUN_FILES)
+    else:
+        assert not found, f"{path.name} names run-directory files {found}; use RunManifest"
+
+
+def test_run_file_guard_catches_each_literal():
+    for snippet in ('"manifest.json"', 'f"{d}/checkpoint.tmc"', '"""Writes epochs.csv."""'):
+        assert len(_run_file_names(ast.parse(snippet))) == 1, snippet
+    assert _run_file_names(ast.parse('"manifest"\n"checkpoint"')) == []

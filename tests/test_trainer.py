@@ -16,6 +16,7 @@ from toporec.model import build_propagation_matrix
 from toporec.optim import load_checkpoint
 from toporec.synth import make_clustered_dataset
 from toporec.trainer import (
+    RunManifest,
     TrainingAborted,
     VARIANTS,
     ablate,
@@ -354,6 +355,31 @@ def test_manifest_artifacts(tmp_path):
         parts = line.split(",")
         assert len(parts) == 5
         float(parts[1]), float(parts[3])  # repr round-trip stays parseable
+
+
+def test_load_returns_the_manifest_fit_returned(tmp_path):
+    data = _tiny_data()
+    cfg = _tiny_config(max_epochs=2)
+    graph, _, _ = _quiet_graph(cfg, data)
+    run = tmp_path / "run"
+    manifest = _quiet_fit(cfg, data, na_graph=graph, out_dir=str(run))
+
+    loaded = RunManifest.load(str(run))
+    assert loaded.config == cfg
+    assert loaded.best_epoch == manifest.best_epoch >= 0
+    assert loaded.epochs == manifest.epochs
+    assert loaded.checkpoint_path == manifest.checkpoint_path == str(run / "checkpoint.tmc")
+    assert not hasattr(loaded, "model")
+    # Through one JSON encoder, so NaN fields compare equal too.
+    saved, returned = (json.dumps(m.to_dict(), sort_keys=True) for m in (loaded, manifest))
+    assert saved == returned
+
+    # A copied run directory points at its own checkpoint, not the one
+    # the file records.
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    (copy / "manifest.json").write_text((run / "manifest.json").read_text())
+    assert RunManifest.load(str(copy)).checkpoint_path == str(copy / "checkpoint.tmc")
 
 
 def test_run_variant_skips_graph_without_alignment():
