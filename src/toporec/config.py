@@ -199,11 +199,13 @@ def load_config_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
+        if parser.defaults():
+            raise ValueError(f"{path}: keys in [DEFAULT] are not read; put them under [train]")
         for section in parser.sections():
             if section != "train":
                 raise ValueError(f"{path}: unknown config section [{section}]")
             train = {key: _parse(key, value) for key, value in parser.items(section)}
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {' '.join(str(exc).split())}") from None
     config_from_dict(train, path)
     return train

@@ -3,8 +3,9 @@
 Interaction files are whitespace separated, one ``user item [split]``
 row per line. Feature matrices load from CSV (one item per row) or from
 the TMF1 binary format written by :func:`save_features`. Tokens map to
-contiguous indices in first-appearance order. Every file the package
-writes goes through :func:`write_file`.
+contiguous indices in first-appearance order. Every text table is read
+through :func:`_rows`, and every file the package writes goes through
+:func:`write_file`.
 """
 
 from __future__ import annotations
@@ -122,6 +123,25 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
+def _rows(path, widths, layout):
+    """(line number, fields) of each non-blank line of a UTF-8 text table.
+    A line whose field count is not in widths, or bytes that are not
+    UTF-8, raise a ValueError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                fields = line.split()
+                if not fields:
+                    continue
+                if len(fields) not in widths:
+                    raise ValueError(
+                        f"{path}:{lineno}: expected {layout!r}, got {len(fields)} fields"
+                    )
+                yield lineno, fields
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def load_interactions(path):
     """Parse an interaction file into an InteractionTable.
 
@@ -131,54 +151,31 @@ def load_interactions(path):
     """
     user_ids: dict = {}
     item_ids: dict = {}
-    user_tokens: list = []
-    item_tokens: list = []
-    edges = []
-    roles = []
-    seen = set()
-    dropped = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) not in (2, 3):
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'user item [split]', got {len(parts)} fields"
-                )
-            role = ROLE_UNSET
-            if len(parts) == 3:
-                if parts[2] not in _ROLE_BY_NAME:
-                    raise ValueError(
-                        f"{path}:{lineno}: unknown split role {parts[2]!r} "
-                        f"(expected train, val, or test)"
-                    )
-                role = _ROLE_BY_NAME[parts[2]]
-            u_tok, i_tok = parts[0], parts[1]
-            if u_tok not in user_ids:
-                user_ids[u_tok] = len(user_tokens)
-                user_tokens.append(u_tok)
-            if i_tok not in item_ids:
-                item_ids[i_tok] = len(item_tokens)
-                item_tokens.append(i_tok)
-            key = (user_ids[u_tok], item_ids[i_tok], role)
-            if key in seen:
-                dropped += 1
-                continue
-            seen.add(key)
-            edges.append((user_ids[u_tok], item_ids[i_tok]))
-            roles.append(role)
-    if not edges:
+    rows = []
+    for lineno, parts in _rows(path, (2, 3), "user item [split]"):
+        role = _ROLE_BY_NAME.get(parts[2]) if len(parts) == 3 else ROLE_UNSET
+        if role is None:
+            raise ValueError(
+                f"{path}:{lineno}: unknown split role {parts[2]!r} "
+                f"(expected train, val, or test)"
+            )
+        rows += (user_ids.setdefault(parts[0], len(user_ids)),
+                 item_ids.setdefault(parts[1], len(item_ids)), role)
+    if not rows:
         raise ValueError(f"{path}: no interactions found")
-    if dropped:
-        warnings.warn(f"{path}: dropped {dropped} duplicate interaction row(s)")
+    rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    # The first row of each (user, item, role) key, in file order.
+    keys = (rows[:, 0] * len(item_ids) + rows[:, 1]) * 4 + rows[:, 2] + 1
+    first = np.sort(np.unique(keys, return_index=True)[1])
+    if len(first) < len(rows):
+        warnings.warn(f"{path}: dropped {len(rows) - len(first)} duplicate interaction row(s)")
     return InteractionTable(
-        num_users=len(user_tokens),
-        num_items=len(item_tokens),
-        user_tokens=user_tokens,
-        item_tokens=item_tokens,
-        edges=np.array(edges, dtype=np.int64),
-        roles=np.array(roles, dtype=np.int8),
+        num_users=len(user_ids),
+        num_items=len(item_ids),
+        user_tokens=list(user_ids),
+        item_tokens=list(item_ids),
+        edges=rows[first, :2],
+        roles=rows[first, 2].astype(np.int8),
     )
 
 
@@ -282,13 +279,12 @@ def read_exact(fh, size, path, what):
     """The next size bytes of a binary file; a ValueError naming the file
     and the byte offset when the file ends first."""
     start = fh.tell()
-    data = fh.read(size)
-    if len(data) != size:
+    left = os.fstat(fh.fileno()).st_size - start
+    if size > left:
         raise ValueError(
-            f"{path}: truncated at byte {start}: the {what} needs {size} bytes, "
-            f"{len(data)} remain"
+            f"{path}: truncated at byte {start}: the {what} needs {size} bytes, {left} remain"
         )
-    return data
+    return fh.read(size)
 
 
 def read_end(fh, path):
@@ -327,7 +323,7 @@ def load_features(path, modality, expected_rows=None):
         magic = fh.read(4)
         if magic == _FEAT_MAGIC:
             rows, cols, tag_len = struct.unpack("<IIB", read_exact(fh, 9, path, "TMF1 header"))
-            tag = read_exact(fh, tag_len, path, "modality tag").decode("utf-8")
+            tag = read_exact(fh, tag_len, path, "modality tag").decode("utf-8", "replace")
             if tag != modality:
                 raise ValueError(
                     f"{path}: file holds {tag!r} features, expected {modality!r}"
@@ -378,21 +374,17 @@ def _load_map(path):
     """Tokens of an `<id> <token>` map file, whose ids run 0, 1, 2, ...
     in file order."""
     tokens = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split(maxsplit=1)
-            if not parts:
-                continue
-            try:
-                idx = int(parts[0])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: id {parts[0]!r} is not an integer") from None
-            if idx != len(tokens):
-                raise ValueError(
-                    f"{path}:{lineno}: id {idx} where id {len(tokens)} is due; "
-                    "ids must run 0, 1, 2, ... in file order"
-                )
-            tokens.append(parts[1].strip() if len(parts) > 1 else "")
+    for lineno, (idx, token) in _rows(path, (2,), "id token"):
+        try:
+            idx = int(idx)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: id {idx!r} is not an integer") from None
+        if idx != len(tokens):
+            raise ValueError(
+                f"{path}:{lineno}: id {idx} where id {len(tokens)} is due; "
+                "ids must run 0, 1, 2, ... in file order"
+            )
+        tokens.append(token)
     return tokens
 
 
@@ -424,34 +416,29 @@ def load_prepared(prepared_dir):
     user_tokens = _load_map(os.path.join(prepared_dir, "user_map.txt"))
     item_tokens = _load_map(os.path.join(prepared_dir, "item_map.txt"))
     num_users, num_items = len(user_tokens), len(item_tokens)
-    edges = []
-    roles = []
-    with open(split_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 3 or parts[2] not in _ROLE_BY_NAME:
-                raise ValueError(f"{split_path}:{lineno}: expected 'user item role'")
-            try:
-                u, i = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"{split_path}:{lineno}: ids must be integers") from None
-            if not (0 <= u < num_users and 0 <= i < num_items):
-                raise ValueError(
-                    f"{split_path}:{lineno}: user {u} or item {i} is outside the "
-                    f"{num_users} users of user_map.txt and the {num_items} items "
-                    "of item_map.txt"
-                )
-            edges.append((u, i))
-            roles.append(_ROLE_BY_NAME[parts[2]])
+    rows = []
+    for lineno, (u, i, role) in _rows(split_path, (3,), "user item role"):
+        if role not in _ROLE_BY_NAME:
+            raise ValueError(f"{split_path}:{lineno}: expected 'user item role'")
+        try:
+            u, i = int(u), int(i)
+        except ValueError:
+            raise ValueError(f"{split_path}:{lineno}: ids must be integers") from None
+        if not (0 <= u < num_users and 0 <= i < num_items):
+            raise ValueError(
+                f"{split_path}:{lineno}: user {u} or item {i} is outside the "
+                f"{num_users} users of user_map.txt and the {num_items} items "
+                "of item_map.txt"
+            )
+        rows += u, i, _ROLE_BY_NAME[role]
+    rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
     table = InteractionTable(
         num_users=num_users,
         num_items=num_items,
         user_tokens=user_tokens,
         item_tokens=item_tokens,
-        edges=np.array(edges, dtype=np.int64),
-        roles=np.array(roles, dtype=np.int8),
+        edges=rows[:, :2].copy(),
+        roles=rows[:, 2],
     )
     fv = load_features(
         os.path.join(prepared_dir, "features_visual.tmf"), "visual", table.num_items

@@ -455,7 +455,7 @@ def _parse_tmg1(data):
     if num_nodes < 0 or nnz < 0:
         raise ValueError(f"header counts must be >= 0, got {num_nodes} nodes and {nnz} edges")
     # Edge line e is lines[e - 1]; what follows the nnz-th line break is the rest.
-    lines = body.split(b"\n", nnz)
+    lines = body.split(b"\n", min(nnz, len(body)))
     rest = lines.pop() if len(lines) > nnz else b""
     sizes = np.fromiter(map(len, map(bytes.split, lines)), dtype=np.int64, count=len(lines))
     bad = np.flatnonzero(sizes != 3)

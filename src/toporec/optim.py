@@ -148,7 +148,12 @@ def load_checkpoint(path):
         out = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", read_exact(fh, 2, path, "array name length"))
-            name = read_exact(fh, name_len, path, "array name").decode("utf-8")
+            raw = read_exact(fh, name_len, path, "array name")
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(
+                    f"{path}: array name at byte {fh.tell() - name_len} is not UTF-8") from None
             code, rows, cols = struct.unpack("<BII", read_exact(fh, 9, path, f"header of {name!r}"))
             if code not in _CODE_DTYPES:
                 raise ValueError(f"{path}: unknown dtype code {code} for {name!r}")

@@ -258,6 +258,10 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
     dtype = cfg.numpy_dtype()
     if cfg.na_weight > 0 and na_graph is None:
         raise ValueError("na_weight > 0 requires an item graph; build and prune one first")
+    if na_graph is not None and na_graph.num_nodes != table.num_items:
+        where = f" {graph_path}" if graph_path else ""
+        raise ValueError(f"item graph{where} has {na_graph.num_nodes} nodes, "
+                         f"but the interactions have {table.num_items} items")
 
     streams = rng_streams(cfg.seed)
     model, features = build_model(

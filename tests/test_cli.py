@@ -627,3 +627,114 @@ def test_stderr_logging_is_key_value(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "event=synth" in err
     assert "users=20" in err
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nembed_dim = 0\n",
+    "[DEFAULT]\nlr = 0.5\n[train]\nseed = 3\n",
+], ids=["only-default", "default-beside-train"])
+def test_ini_default_section_is_rejected(pipeline, tmp_path, capsys, text):
+    _, _, prep, _, _ = pipeline
+    ini = tmp_path / "default.ini"
+    ini.write_text(text)
+    capsys.readouterr()
+    assert _run(["build-graph", "--prepared", str(prep), "--out", str(tmp_path / "g.tmg"),
+                 "--config", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {ini}: keys in [DEFAULT] are not read; put them under [train]" in err
+    assert not (tmp_path / "g.tmg").exists()
+
+
+def _set_byte(path, offset, value=0xFF):
+    data = bytearray(path.read_bytes())
+    data[offset] = value
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("case", ["interactions", "user-map", "split", "config", "tmf1-tag",
+                                  "tmc1-name"])
+def test_bytes_that_are_not_utf8_fail_with_error_line_naming_the_file(
+        pipeline, trained, tmp_path, capsys, case):
+    _, raw, prep, _, pruned = pipeline
+    bad_prep = tmp_path / "prep"
+    shutil.copytree(prep, bad_prep)
+    run = tmp_path / "run"
+    shutil.copytree(trained, run)
+    shutil.copy(raw / "interactions.txt", tmp_path / "interactions.txt")
+    (tmp_path / "run.ini").write_text("[train]\nlr = 0.001\n")
+    prepare = ["prepare", "--interactions", str(tmp_path / "interactions.txt"),
+               "--features-visual", str(raw / "features_visual.tmf"),
+               "--features-textual", str(raw / "features_textual.tmf"),
+               "--out", str(tmp_path / "prep_new")]
+    train = ["train", "--prepared", str(bad_prep), "--graph", str(pruned),
+             "--out", str(tmp_path / "run_new"), "--max-epochs", "1"]
+    build = ["build-graph", "--prepared", str(prep), "--out", str(tmp_path / "g.tmg"),
+             "--config", str(tmp_path / "run.ini")]
+    # (file, offset of the byte made 0xff, command); the TMF1 tag starts at
+    # byte 13 and the first TMC1 array name at byte 12.
+    bad, offset, argv = {
+        "interactions": (tmp_path / "interactions.txt", 1, prepare),
+        "user-map": (bad_prep / "user_map.txt", 2, train),
+        "split": (bad_prep / "split.txt", 0, train),
+        "config": (tmp_path / "run.ini", 9, build),
+        "tmf1-tag": (bad_prep / "features_visual.tmf", 13,
+                     ["evaluate", "--run", str(trained), "--prepared", str(bad_prep)]),
+        "tmc1-name": (run / "checkpoint.tmc", 12, ["evaluate", "--run", str(run)]),
+    }[case]
+    _set_byte(bad, offset)
+    capsys.readouterr()
+    assert _run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}" in err
+    if case == "tmc1-name":
+        assert f"error: {bad}: array name at byte 12 is not UTF-8" in err
+    elif case in ("interactions", "user-map", "split"):
+        assert f"error: {bad}: not UTF-8 text (" in err
+    assert not (tmp_path / "prep_new").exists() and not (tmp_path / "run_new").exists()
+
+
+@pytest.mark.parametrize("case", ["tmf1", "tmc1", "tmg1"])
+def test_header_count_past_the_end_fails_with_error_line(pipeline, trained, tmp_path, capsys,
+                                                         case):
+    # Each header declares more than 2**63 bytes, so no reader may try to
+    # allocate or read that much before it fails.
+    _, raw, _, _, _ = pipeline
+    big = 2**32 - 1
+    bad = tmp_path / f"bad.{case}"
+    if case == "tmf1":
+        bad.write_bytes(b"TMF1" + struct.pack("<IIB", big, big, 6) + b"visual")
+        argv = ["prepare", "--interactions", str(raw / "interactions.txt"),
+                "--features-visual", str(bad),
+                "--features-textual", str(raw / "features_textual.tmf"),
+                "--out", str(tmp_path / "prep")]
+        message = "truncated at byte 19: the feature payload needs "
+    elif case == "tmc1":
+        run = tmp_path / "run"
+        run.mkdir()
+        shutil.copy(trained / "manifest.json", run / "manifest.json")
+        bad = run / "checkpoint.tmc"
+        bad.write_bytes(b"TMC1" + struct.pack("<HIH", 1, 1, 1) + b"a"
+                        + struct.pack("<BII", 1, big, big))
+        argv = ["evaluate", "--run", str(run)]
+        message = "truncated at byte 22: the payload of 'a' needs "
+    else:
+        bad.write_bytes(b"TMG1 3 99999999999999999999999\n")
+        argv = ["prune", "--graph", str(bad), "--out", str(tmp_path / "out.tmg"), "--k", "1"]
+        message = "edge line 1 malformed"
+    capsys.readouterr()
+    assert _run(argv) == 1
+    assert f"error: {bad}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nodes", [10, 40], ids=["fewer-nodes", "more-nodes"])
+def test_train_rejects_graph_of_another_node_count(pipeline, tmp_path, capsys, nodes):
+    _, _, prep, _, _ = pipeline
+    graph = tmp_path / "g.tmg"
+    graph.write_text(f"TMG1 {nodes} 2\n0 {nodes - 1} 1.0\n{nodes - 1} 0 1.0\n")
+    run = tmp_path / "run"
+    capsys.readouterr()
+    assert _run(["train", "--prepared", str(prep), "--graph", str(graph), "--out", str(run),
+                 "--max-epochs", "1", "--embed-dim", "8", "--hidden-dim", "8"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: item graph {graph} has {nodes} nodes, but the interactions have 20 items" in err
+    assert not run.exists()

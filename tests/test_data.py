@@ -87,6 +87,31 @@ def test_load_interactions_errors(tmp_path):
         load_interactions(empty)
 
 
+def test_load_interactions_hand_made_file(tmp_path):
+    # CRLF endings, tabs, blank and whitespace-only lines, 2- and 3-field
+    # rows, and duplicates within one split (lines 6, 8, 11) beside the
+    # same pair in other splits, which are kept.
+    path = tmp_path / "hand.txt"
+    path.write_bytes(
+        b"u1 i1 train\r\nu1\ti2\r\n\r\n  \t \r\nu2 i1 val\r\nu1 i1 train\r\n"
+        b"u1 i1 test\r\nu1 i2\r\nu3 i3 test\r\n\r\nu2 i1 val\r\nu2\ti1\ttrain\r\nu1 i1\r\n"
+    )
+    with pytest.warns(UserWarning) as record:
+        table = load_interactions(path)
+    assert [str(w.message) for w in record] == [f"{path}: dropped 3 duplicate interaction row(s)"]
+    assert table.user_tokens == ["u1", "u2", "u3"]
+    assert table.item_tokens == ["i1", "i2", "i3"]
+    assert table.edges.dtype == np.int64 and table.edges.flags.c_contiguous
+    assert table.edges.tolist() == [[0, 0], [0, 1], [1, 0], [0, 0], [2, 2], [1, 0], [0, 0]]
+    assert table.roles.dtype == np.int8
+    assert table.roles.tolist() == [ROLE_TRAIN, ROLE_UNSET, ROLE_VAL, ROLE_TEST, ROLE_TEST,
+                                    ROLE_TRAIN, ROLE_UNSET]
+    path.write_bytes(path.read_bytes() + b"\r\nu4 i4 train extra\r\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:15: expected 'user item [split]', got 4 fields")):
+        load_interactions(path)
+
+
 def test_make_split_ratio_rules():
     rng = np.random.default_rng(0)
     edges = []
@@ -427,6 +452,27 @@ def test_load_prepared_rejects_map_ids_out_of_file_order(tmp_path, lines, messag
             load_prepared(out)
         (out / name).write_bytes(good)
     load_prepared(out)
+
+
+@pytest.mark.parametrize("name, line, message", [
+    ("user_map.txt", "0", ":1: expected 'id token', got 1 fields"),
+    ("item_map.txt", "0 pen cap", ":1: expected 'id token', got 3 fields"),
+    ("split.txt", "0 0", ":1: expected 'user item role', got 2 fields"),
+    ("split.txt", "0 0 train 1", ":1: expected 'user item role', got 4 fields"),
+    ("split.txt", "0 0 holdout", ":1: expected 'user item role'"),
+], ids=["map-one-field", "map-three-fields", "split-two-fields", "split-four-fields",
+        "split-unknown-role"])
+def test_load_prepared_rejects_wrong_field_counts(tmp_path, name, line, message):
+    table = make_split(_table(3, 3, [(u, u) for u in range(3)]), seed=1)
+    rng = np.random.default_rng(0)
+    fv = FeatureMatrix("visual", rng.standard_normal((3, 3)).astype(np.float32))
+    ft = FeatureMatrix("textual", rng.standard_normal((3, 2)).astype(np.float32))
+    out = tmp_path / "prep"
+    save_prepared(out, table, fv, ft)
+    lines = (out / name).read_text().splitlines()
+    (out / name).write_text("\n".join([line] + lines[1:]) + "\n")
+    with pytest.raises(ValueError, match=re.escape(str(out / name) + message) + "$"):
+        load_prepared(out)
 
 
 def test_load_prepared_requires_prepare_run(tmp_path):

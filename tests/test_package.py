@@ -1,4 +1,5 @@
-"""The package's exported names, its one file writer, and the README's commands."""
+"""The package's exported names, its one file writer, its readers, and the
+README's commands."""
 
 import ast
 import importlib
@@ -19,6 +20,13 @@ WRITERS = {
     "np": {"save", "savez", "savez_compressed", "savetxt"},
     "os": {"makedirs", "mkdir"},
     None: {"tofile", "write_text", "write_bytes"},
+}
+# Calls that read a file, other than `open` in a read mode, and the one
+# function of each input kind allowed to make them.
+READERS = {"np.loadtxt", "np.genfromtxt", "np.load", "np.fromfile", "json.load"}
+READ_FUNCTIONS = {
+    "data._rows", "data.load_features", "itemgraph.load_graph", "optim.load_checkpoint",
+    "trainer.RunManifest.load", "config.load_config_file",
 }
 MODULES = sorted(m.name for m in pkgutil.iter_modules(toporec.__path__, "toporec."))
 
@@ -49,6 +57,13 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: {command}")
 
 
+def _opens_to_write(call):
+    """Whether an `open` call's mode may create or change the file."""
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+    return not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax+"))
+
+
 def _writes(tree):
     """(line, call) of each call in `tree` that can create or change a file,
     outside `write_file`. numpy savers into an `io.BytesIO()` buffer write
@@ -65,9 +80,7 @@ def _writes(tree):
             continue
         func = node.func
         if isinstance(func, ast.Name) and func.id == "open":
-            mode = node.args[1] if len(node.args) > 1 else next(
-                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
-            if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
+            if _opens_to_write(node):
                 found.append((node.lineno, ast.unparse(node)))
         elif isinstance(func, ast.Attribute):
             owner = ast.unparse(func.value)
@@ -99,6 +112,45 @@ def test_write_guard_catches_each_writer():
     allowed = "open(p)\nopen(p, 'rb')\nbuf = io.BytesIO()\nnp.savez(buf, a=a)\nmanifest.save(d)\n" \
         "def write_file(path):\n    open(path, 'wb')\n    os.makedirs(d)\n"
     assert _writes(ast.parse(allowed)) == []
+
+
+def _reads(tree, scope=""):
+    """(qualified name of the enclosing function or "", line) of each
+    read-mode `open` and each READERS call in tree."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found += _reads(node, f"{scope}.{node.name}".lstrip("."))
+            continue
+        if isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            if name in READERS or name == "open" and not _opens_to_write(node):
+                found.append((scope, node.lineno))
+        found += _reads(node, scope)
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_files_are_read_only_in_the_reader_functions(path):
+    module = path.stem
+    found = _reads(ast.parse(path.read_text(), str(path)))
+    stray = [(f"{module}.{scope}", line) for scope, line in found
+             if f"{module}.{scope}" not in READ_FUNCTIONS]
+    assert not stray, f"{path.name} reads files outside {sorted(READ_FUNCTIONS)}: {stray}"
+
+
+def test_read_guard_catches_each_reader():
+    snippets = ["open(p)", "open(p, 'rb')", "open(p, mode='r')", "np.loadtxt(p)",
+                "np.genfromtxt(p)", "np.load(p)", "np.fromfile(p)", "json.load(fh)",
+                "def load_map(p):\n    with open(p) as fh:\n        pass\n",
+                "class RunManifest:\n    def save(self):\n        json.load(fh)\n"]
+    for snippet in snippets:
+        assert len(_reads(ast.parse(snippet))) == 1, snippet
+    tree = ast.parse("class RunManifest:\n    def load(d):\n        json.load(open(d))\n"
+                     "def _rows(p):\n    def inner():\n        open(p)\n")
+    assert _reads(tree) == [("RunManifest.load", 3), ("RunManifest.load", 3),
+                            ("_rows.inner", 6)]
+    assert _reads(ast.parse("open(p, 'w')\njson.loads(s)\nnp.frombuffer(b)\nfh.read()")) == []
 
 
 RUN_FILES = ("manifest.json", "checkpoint.tmc", "epochs.csv")
