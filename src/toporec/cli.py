@@ -161,12 +161,7 @@ def cmd_train(args):
     cfg = _resolve(args)
     table, fv, ft = load_prepared(args.prepared)
     graph = None
-    if cfg.na_weight > 0:
-        if not args.graph:
-            raise ValueError(
-                "na_weight > 0 needs --graph; run `toporec build-graph` and "
-                "`toporec prune` first"
-            )
+    if cfg.na_weight > 0 and args.graph:
         graph = load_graph(_require(args.graph, "graph file", "prune"))
     graph_path = os.path.abspath(args.graph) if args.graph else ""
     manifest = fit(cfg, table, fv, ft, na_graph=graph, out_dir=args.out,

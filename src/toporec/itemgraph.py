@@ -472,4 +472,7 @@ def _parse_tmg1(data):
     if outside.size:
         e = outside[0]
         raise ValueError(f"edge line {e + 1}: {src[e]} -> {dst[e]} is outside {num_nodes} nodes")
-    return SparseGraph.from_edges(num_nodes, src, dst, w)
+    try:
+        return SparseGraph.from_edges(num_nodes, src, dst, w)
+    except MemoryError:
+        raise ValueError(f"the header declares {num_nodes} nodes, more than memory holds") from None

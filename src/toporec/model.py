@@ -42,9 +42,6 @@ __all__ = [
     "na_batch_from_items",
 ]
 
-_MODALITIES = ("visual", "textual")
-
-
 @dataclass
 class ModelConfig:
     num_users: int
@@ -87,10 +84,8 @@ class MultimodalRecommender:
         self.params.add(
             "item_embed", xavier_uniform(rng, (cfg.num_items, cfg.embed_dim), dtype)
         )
-        for tag in _MODALITIES:
-            if tag not in dims:
-                continue
-            widths = [dims[tag]] + [cfg.hidden_dim] * (cfg.depth - 1) + [cfg.embed_dim]
+        for tag, dim in dims.items():
+            widths = [dim] + [cfg.hidden_dim] * (cfg.depth - 1) + [cfg.embed_dim]
             for layer in range(cfg.depth):
                 d_in, d_out = widths[layer], widths[layer + 1]
                 self.params.add(f"{tag}_mlp{layer}_w", xavier_uniform(rng, (d_in, d_out), dtype))
@@ -121,14 +116,12 @@ class MultimodalRecommender:
         features maps modality name to its raw array. Branch outputs are
         also returned when asked (used by per-modality alignment terms).
         """
-        dims = self.cfg.modality_dims()
         branches = {}
-        for tag in _MODALITIES:
-            if tag in dims:
-                if tag not in features or features[tag] is None:
-                    raise ValueError(f"model expects {tag} features but none were given")
-                branches[tag] = self._encode_modality(tag, features[tag], train_mode, rng)
-        parts = [branches[tag] for tag in _MODALITIES if tag in branches]
+        for tag in self.cfg.modality_dims():
+            if features.get(tag) is None:
+                raise ValueError(f"model expects {tag} features but none were given")
+            branches[tag] = self._encode_modality(tag, features[tag], train_mode, rng)
+        parts = list(branches.values())
         merged = parts[0] if len(parts) == 1 else ag.concat_cols(parts[0], parts[1])
         fused = ag.tanh(ag.add(ag.matmul(merged, self.params["fuser_w"]), self.params["fuser_b"]))
         if return_branches:
@@ -234,21 +227,14 @@ def joint_loss(bpr, na, na_weight):
 
 def eligible_anchor_items(graph):
     """Items with at least one positive-weight out-edge."""
-    src, _, w = graph.to_edges()
-    return np.unique(src[w > 0])
+    return np.flatnonzero(positive_subgraph(graph).out_degrees())
 
 
 def _weights_slice(graph, anchors, batch_ids, dtype):
     """(anchors, batch) matrix of the anchors' edge weights into the batch."""
-    src, dst, w = graph.to_edges()
-    row = np.full(graph.num_nodes, -1)
-    row[anchors] = np.arange(len(anchors))
-    col = np.full(graph.num_nodes, -1)
-    col[batch_ids] = np.arange(len(batch_ids))
-    ok = (row[src] >= 0) & (col[dst] >= 0)
-    weights = np.zeros((len(anchors), len(batch_ids)), dtype=dtype)
-    weights[row[src[ok]], col[dst[ok]]] = w[ok]
-    return weights
+    n = graph.num_nodes
+    mat = sp.csr_matrix((graph.weights.astype(dtype), graph.indices, graph.indptr), shape=(n, n))
+    return mat[anchors][:, batch_ids].toarray()
 
 
 def positive_subgraph(graph):

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -56,7 +56,15 @@ __all__ = [
     "ablate",
 ]
 
-VARIANTS = ("full", "no_na", "no_prune", "rand_prune", "text_only", "visual_only")
+# Each ablation variant is the config fields it sets.
+VARIANTS = {
+    "full": {},
+    "no_na": {"na_weight": 0.0},
+    "no_prune": {"prune_mode": "none"},
+    "rand_prune": {"prune_mode": "random"},
+    "text_only": {"use_visual": False, "use_textual": True},
+    "visual_only": {"use_visual": True, "use_textual": False},
+}
 
 _STREAM_NAMES = ("init", "negatives", "anchors", "dropout", "corruption", "graph")
 
@@ -67,21 +75,9 @@ class TrainingAborted(RuntimeError):
 
 def variant_config(cfg, name):
     """Translate an ablation variant name into a config transform."""
-    from dataclasses import replace
-
-    if name == "full":
-        return replace(cfg)
-    if name == "no_na":
-        return replace(cfg, na_weight=0.0)
-    if name == "no_prune":
-        return replace(cfg, prune_mode="none")
-    if name == "rand_prune":
-        return replace(cfg, prune_mode="random")
-    if name == "text_only":
-        return replace(cfg, use_visual=False, use_textual=True)
-    if name == "visual_only":
-        return replace(cfg, use_visual=True, use_textual=False)
-    raise ValueError(f"unknown variant {name!r}; expected one of {VARIANTS}")
+    if name not in VARIANTS:
+        raise ValueError(f"unknown variant {name!r}; expected one of {tuple(VARIANTS)}")
+    return replace(cfg, **VARIANTS[name])
 
 
 def rng_streams(seed):
@@ -147,7 +143,7 @@ class RunManifest:
         return asdict(self)
 
     def save(self, out_dir):
-        manifest = json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        manifest = json.dumps(_nulls(self.to_dict()), indent=2, sort_keys=True, allow_nan=False)
         write_file(os.path.join(out_dir, "manifest.json"), manifest, "\n")
         cols = ("loss_bpr", "loss_na", "val_r20", "val_n20")
         write_file(
@@ -173,10 +169,24 @@ class RunManifest:
         values = {f.name: saved[f.name] for f in fields(cls) if f.name in saved}
         values["config"] = config_from_dict(saved["config"], path)
         values["checkpoint_path"] = os.path.join(run_dir, "checkpoint.tmc")
+        # save writes each NaN as null.
+        if values.get("best_val_r20", math.nan) is None:
+            values["best_val_r20"] = math.nan
         try:
+            values["epochs"] = [{k: math.nan if v is None else v for k, v in row.items()}
+                                for row in values.get("epochs", [])]
             return cls(**values)
-        except TypeError as exc:
+        except (TypeError, AttributeError) as exc:
             raise ValueError(f"{path}: not a run manifest ({exc})") from None
+
+
+def _nulls(value):
+    """value with each non-finite float as None, which JSON writes as null."""
+    if isinstance(value, dict):
+        return {k: _nulls(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_nulls(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _sha256(*arrays):
@@ -257,7 +267,8 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
     cfg = validate_config(cfg)
     dtype = cfg.numpy_dtype()
     if cfg.na_weight > 0 and na_graph is None:
-        raise ValueError("na_weight > 0 requires an item graph; build and prune one first")
+        raise ValueError("na_weight > 0 requires an item graph; pass `train --graph` the output "
+                         "of `toporec build-graph` and `toporec prune`")
     if na_graph is not None and na_graph.num_nodes != table.num_items:
         where = f" {graph_path}" if graph_path else ""
         raise ValueError(f"item graph{where} has {na_graph.num_nodes} nodes, "
@@ -270,13 +281,10 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
     s_ui, s_iu = build_propagation_matrix(table, dtype)
 
     use_na = cfg.na_weight > 0
-    positive = None
-    if use_na:
-        if len(eligible_anchor_items(na_graph)) == 0:
-            warnings.warn("supervision graph has no positive-weight edges; alignment disabled")
-            use_na = False
-        else:
-            positive = positive_subgraph(na_graph)
+    if use_na and len(eligible_anchor_items(na_graph)) == 0:
+        warnings.warn("supervision graph has no positive-weight edges; alignment disabled")
+        use_na = False
+    positive = positive_subgraph(na_graph) if use_na else None
 
     n_train = len(table.role_edges(ROLE_TRAIN))
     steps_per_epoch = max(1, math.ceil(n_train / cfg.batch_size))
@@ -300,7 +308,6 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
     run.model = model
     best_state = None
     best_z = None
-    since_best = 0
     # A validation pass scores the reported cutoffs too, so the best
     # epoch's metrics and embeddings are kept rather than recomputed.
     val_cutoffs = tuple(cfg.eval_topn) + ((20,) if 20 not in cfg.eval_topn else ())
@@ -328,14 +335,13 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
                 else:
                     pool = np.concatenate([batch.pos_items, batch.neg_items])
                     na = na_batch_from_items(na_graph, pool, dtype)
-                if na is not None:
-                    na_ids, anchor_rows, na_weights = na
-                    tags = sorted(branches) if cfg.na_on_modalities else []
-                    for h in [h_items] + [branches[tag] for tag in tags]:
-                        term = neighborhood_alignment_loss(
-                            ag.gather_rows(h, na_ids), anchor_rows, na_weights, cfg.temperature
-                        )
-                        l_na = term if l_na is None else ag.add(l_na, term)
+                na_ids, anchor_rows, na_weights = na
+                tags = sorted(branches) if cfg.na_on_modalities else []
+                for h in [h_items] + [branches[tag] for tag in tags]:
+                    term = neighborhood_alignment_loss(
+                        ag.gather_rows(h, na_ids), anchor_rows, na_weights, cfg.temperature
+                    )
+                    l_na = term if l_na is None else ag.add(l_na, term)
             loss = joint_loss(l_bpr, l_na, cfg.na_weight)
             if not np.isfinite(loss.values).all():
                 dump = _dump_bad_batch(out_dir, epoch, step, batch, na_ids)
@@ -349,35 +355,31 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
             bpr_total += l_bpr.item()
             na_total += l_na.item() if l_na is not None else 0.0
 
-        val_r20 = math.nan
-        val_n20 = math.nan
+        val = {}
         if has_val and epoch % cfg.eval_stride == 0:
             z_users, z_items = model.embeddings(features, s_ui, s_iu)
             val = evaluate(z_users, z_items, table, "val", ns=val_cutoffs)
-            val_r20 = val["recall@20"]
-            val_n20 = val["ndcg@20"]
-            if run.best_epoch < 0 or val_r20 > run.best_val_r20:
-                run.best_val_r20 = float(val_r20)
+            if run.best_epoch < 0 or val["recall@20"] > run.best_val_r20:
+                run.best_val_r20 = float(val["recall@20"])
                 run.best_epoch = epoch
                 best_state = model.params.state_arrays()
                 # Copies: with no LightGCN layer z_users is the user_embed
                 # array, which the optimizer updates in place.
                 best_z = (z_users.copy(), z_items.copy())
                 run.val_metrics = {k: v for k, v in val.items() if k in kept_keys}
-                since_best = 0
-            else:
-                since_best += 1
         run.epochs.append(
             {
                 "epoch": epoch,
                 "loss_bpr": bpr_total / steps_per_epoch,
                 "loss_na": na_total / steps_per_epoch,
-                "val_r20": val_r20,
-                "val_n20": val_n20,
+                "val_r20": val.get("recall@20", math.nan),
+                "val_n20": val.get("ndcg@20", math.nan),
                 "best_val_r20": run.best_val_r20,
             }
         )
-        if has_val and since_best >= cfg.patience:
+        # Validations fall on the multiples of eval_stride from epoch 0, so
+        # this counts the validations since the best one.
+        if has_val and (epoch - run.best_epoch) // cfg.eval_stride >= cfg.patience:
             break
 
     if best_state is not None:
@@ -397,12 +399,11 @@ def run_variant(name, cfg, table, features_visual, features_textual,
                 out_dir=None, corrupt_eps=0.0):
     """Build this variant's graphs and train it end to end."""
     vcfg = variant_config(cfg, name)
-    fv = features_visual if vcfg.use_visual else None
-    ft = features_textual if vcfg.use_textual else None
     graph = None
     if vcfg.na_weight > 0:
-        graph, _, _ = build_item_graph(vcfg, fv, ft, corrupt_eps=corrupt_eps)
-    return fit(vcfg, table, fv, ft, na_graph=graph, out_dir=out_dir)
+        graph, _, _ = build_item_graph(vcfg, features_visual, features_textual,
+                                       corrupt_eps=corrupt_eps)
+    return fit(vcfg, table, features_visual, features_textual, na_graph=graph, out_dir=out_dir)
 
 
 def ablate(cfg, variants, table, features_visual, features_textual, out_dir=None):

@@ -726,6 +726,20 @@ def test_header_count_past_the_end_fails_with_error_line(pipeline, trained, tmp_
     assert f"error: {bad}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body", [b"", b"0 1 1.0\n"], ids=["no-edges", "one-edge"])
+def test_graph_node_count_past_memory_fails_with_error_line(tmp_path, capsys, body):
+    # 10**15 nodes need an 8 PB index array, more than any address space
+    # holds, so the allocation fails at once without touching memory.
+    bad = tmp_path / "huge.tmg"
+    bad.write_bytes(b"TMG1 1000000000000000 %d\n" % body.count(b"\n") + body)
+    out = tmp_path / "out.tmg"
+    capsys.readouterr()
+    assert _run(["prune", "--graph", str(bad), "--out", str(out), "--k", "1"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}: the header declares 1000000000000000 nodes" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("nodes", [10, 40], ids=["fewer-nodes", "more-nodes"])
 def test_train_rejects_graph_of_another_node_count(pipeline, tmp_path, capsys, nodes):
     _, _, prep, _, _ = pipeline

@@ -597,9 +597,20 @@ def test_build_na_batch_determinism_and_caps():
     assert build_na_batch(empty, np.random.default_rng(0), 4) is None
 
 
-def _na_batch_loop(graph, rng, num_anchors):
+def _weights_loop(graph, anchors, batch_ids, dtype):
+    """Reference: the (anchors, batch) weight slice, one edge at a time."""
+    weights = np.zeros((len(anchors), len(batch_ids)), dtype=dtype)
+    for row, a in enumerate(anchors):
+        for col, w in zip(*graph.row(int(a))):
+            if col in batch_ids:
+                weights[row, batch_ids.tolist().index(col)] = w
+    return weights
+
+
+def _na_batch_loop(graph, rng, num_anchors, dtype):
     """Reference: one scalar partner draw per anchor."""
-    eligible = eligible_anchor_items(graph)
+    eligible = np.array([m for m in range(graph.num_nodes) if (graph.row(m)[1] > 0).any()],
+                        dtype=np.int64)
     if len(eligible) == 0:
         return None
     anchors = np.sort(rng.choice(eligible, size=min(num_anchors, len(eligible)), replace=False))
@@ -609,7 +620,16 @@ def _na_batch_loop(graph, rng, num_anchors):
         pos = cols[w > 0]
         partners[row] = pos[rng.integers(0, len(pos))]
     batch_ids = np.unique(np.concatenate([anchors, partners]))
-    return batch_ids, np.searchsorted(batch_ids, anchors)
+    return (batch_ids, np.searchsorted(batch_ids, anchors),
+            _weights_loop(graph, anchors, batch_ids, dtype))
+
+
+def _assert_same_na_batch(out, ref):
+    assert out[0].tolist() == ref[0].tolist()
+    assert out[1].tolist() == ref[1].tolist()
+    weights = np.asarray(out[2])
+    assert (weights.dtype, weights.shape) == (ref[2].dtype, ref[2].shape)
+    assert np.array_equal(weights, ref[2])
 
 
 def test_build_na_batch_matches_per_anchor_loop():
@@ -625,17 +645,22 @@ def test_build_na_batch_matches_per_anchor_loop():
             rows.append((cols, rng_graph.choice([0.0, 0.5, 1.0], size=deg)))
         g = SparseGraph.from_rows(n, rows)
         positive = positive_subgraph(g)
-        for num_anchors in (1, n // 2 + 1, n):
-            rng_ref = np.random.default_rng(1000 + case)
-            rng_new = np.random.default_rng(1000 + case)
-            ref = _na_batch_loop(g, rng_ref, num_anchors)
-            out = build_na_batch(g, rng_new, num_anchors, positive)
-            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
-            if ref is None:
-                assert out is None
-                continue
-            assert out[0].tolist() == ref[0].tolist()
-            assert out[1].tolist() == ref[1].tolist()
+        for dtype in (np.float32, np.float64):
+            for num_anchors in (1, n // 2 + 1, n):
+                rng_ref = np.random.default_rng(1000 + case)
+                rng_new = np.random.default_rng(1000 + case)
+                ref = _na_batch_loop(g, rng_ref, num_anchors, dtype)
+                out = build_na_batch(g, rng_new, num_anchors, positive, dtype)
+                assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+                if ref is None:
+                    assert out is None
+                    continue
+                _assert_same_na_batch(out, ref)
+            # Every pooled item is an anchor; repeats collapse.
+            items = rng_graph.integers(0, n, size=n)
+            batch_ids = np.unique(items)
+            ref = (batch_ids, np.arange(len(batch_ids)), _weights_loop(g, batch_ids, batch_ids, dtype))
+            _assert_same_na_batch(na_batch_from_items(g, items, dtype), ref)
 
 
 def test_na_batch_from_items():

@@ -57,6 +57,13 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: {command}")
 
 
+def test_readme_variants_line_names_every_variant_in_order():
+    from toporec.trainer import VARIANTS
+
+    paragraph = re.search(r"^Variants:(.*?)\n\n", README.read_text(), re.M | re.S).group(1)
+    assert tuple(re.findall(r"`(\w+)`", paragraph)) == tuple(VARIANTS)
+
+
 def _opens_to_write(call):
     """Whether an `open` call's mode may create or change the file."""
     mode = call.args[1] if len(call.args) > 1 else next(

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import toporec.trainer as trainer_module
 from toporec.config import ConfigWarning, TrainConfig
 from toporec.data import ROLE_TRAIN, ROLE_VAL, InteractionTable, make_split
 from toporec.itemgraph import SparseGraph, graphs_equal
@@ -357,22 +358,30 @@ def test_manifest_artifacts(tmp_path):
         float(parts[1]), float(parts[3])  # repr round-trip stays parseable
 
 
+def _no_constant(name):
+    raise ValueError(f"manifest.json holds {name}, which strict JSON readers reject")
+
+
 def test_load_returns_the_manifest_fit_returned(tmp_path):
     data = _tiny_data()
-    cfg = _tiny_config(max_epochs=2)
-    graph, _, _ = _quiet_graph(cfg, data)
-    run = tmp_path / "run"
-    manifest = _quiet_fit(cfg, data, na_graph=graph, out_dir=str(run))
+    # With eval_stride 2, epoch 1 has no validation and its metrics are NaN.
+    for eval_stride in (1, 2):
+        cfg = _tiny_config(max_epochs=2, eval_stride=eval_stride)
+        graph, _, _ = _quiet_graph(cfg, data)
+        run = tmp_path / f"run{eval_stride}"
+        manifest = _quiet_fit(cfg, data, na_graph=graph, out_dir=str(run))
+        json.loads((run / "manifest.json").read_text(), parse_constant=_no_constant)
 
-    loaded = RunManifest.load(str(run))
-    assert loaded.config == cfg
-    assert loaded.best_epoch == manifest.best_epoch >= 0
-    assert loaded.epochs == manifest.epochs
-    assert loaded.checkpoint_path == manifest.checkpoint_path == str(run / "checkpoint.tmc")
-    assert not hasattr(loaded, "model")
-    # Through one JSON encoder, so NaN fields compare equal too.
-    saved, returned = (json.dumps(m.to_dict(), sort_keys=True) for m in (loaded, manifest))
-    assert saved == returned
+        loaded = RunManifest.load(str(run))
+        assert loaded.config == cfg
+        assert loaded.best_epoch == manifest.best_epoch >= 0
+        assert loaded.epochs == manifest.epochs
+        assert loaded.checkpoint_path == manifest.checkpoint_path == str(run / "checkpoint.tmc")
+        assert not hasattr(loaded, "model")
+        # Through one JSON encoder, so NaN fields compare equal too.
+        saved, returned = (json.dumps(m.to_dict(), sort_keys=True) for m in (loaded, manifest))
+        assert saved == returned
+    assert np.isnan(loaded.epochs[1]["val_r20"]) and np.isnan(loaded.epochs[1]["val_n20"])
 
     # A copied run directory points at its own checkpoint, not the one
     # the file records.
@@ -380,6 +389,45 @@ def test_load_returns_the_manifest_fit_returned(tmp_path):
     copy.mkdir()
     (copy / "manifest.json").write_text((run / "manifest.json").read_text())
     assert RunManifest.load(str(copy)).checkpoint_path == str(copy / "checkpoint.tmc")
+
+
+def _stop_reference(script, eval_stride, patience, max_epochs):
+    """(epochs run, best epoch) by a count of validations since the best."""
+    recalls = iter(script)
+    best_epoch, best, since_best = -1, None, 0
+    for epoch in range(max_epochs):
+        if epoch % eval_stride == 0:
+            recall = next(recalls)
+            if best_epoch < 0 or recall > best:
+                best_epoch, best, since_best = epoch, recall, 0
+            else:
+                since_best += 1
+        if since_best >= patience:
+            return epoch + 1, best_epoch
+    return max_epochs, best_epoch
+
+
+@pytest.mark.parametrize("script", [
+    [0.1 * (i + 1) for i in range(9)],
+    [0.5] * 9,
+    [0.1, 0.3, 0.2, 0.4, 0.4, 0.1, 0.5, 0.3, 0.2],
+], ids=["improving", "flat", "mixed"])
+@pytest.mark.parametrize("patience", [0, 1, 3])
+@pytest.mark.parametrize("eval_stride", [1, 2, 3])
+def test_early_stopping_counts_validations_since_the_best(monkeypatch, eval_stride, patience,
+                                                          script):
+    calls = iter(script)
+
+    def scripted(z_users, z_items, table, split, ns=(10, 20)):
+        recall = next(calls) if split == "val" else 0.0
+        return {"split": split, "num_users": 1,
+                **{f"{m}@{n}": recall for m in ("recall", "ndcg") for n in ns}}
+
+    monkeypatch.setattr(trainer_module, "evaluate", scripted)
+    cfg = _tiny_config(na_weight=0.0, max_epochs=9, eval_stride=eval_stride, patience=patience)
+    manifest = _quiet_fit(cfg, _tiny_data())
+    expected = _stop_reference(script, eval_stride, patience, cfg.max_epochs)
+    assert (len(manifest.epochs), manifest.best_epoch) == expected
 
 
 def test_run_variant_skips_graph_without_alignment():
