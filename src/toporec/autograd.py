@@ -84,7 +84,12 @@ class Tensor:
         return float(self.values[0, 0])
 
     def backward(self):
-        """Accumulate d(self)/d(leaf) into every requires_grad leaf."""
+        """Accumulate d(self)/d(leaf) into every requires_grad leaf.
+
+        The sweep frees the graph as it goes: once a node's backward has
+        run, the node drops its parents and its backward function, and
+        with them the arrays the op kept. A second call raises.
+        """
         if self.values.size != 1:
             raise ValueError(f"backward() needs a scalar loss, got shape {self.shape}")
         order = _topo_order(self)
@@ -102,16 +107,23 @@ class Tensor:
                         grads[pid] = grads[pid] + contrib
                     else:
                         grads[pid] = contrib
+                node._parents = ()
+                node._back = _FREED
             elif node.requires_grad:
                 node.grad = g.copy() if node.grad is None else node.grad + g
 
     def __repr__(self):
-        flag = ", requires_grad=True" if self.requires_grad and not self._parents else ""
+        flag = ", requires_grad=True" if self.requires_grad and self._back is None else ""
         return f"Tensor(shape={self.shape}, dtype={self.values.dtype}{flag})"
 
 
+# The backward function of a node whose graph a sweep has freed.
+_FREED = object()
+
+
 def _topo_order(root):
-    """Reachable nodes, outputs first (reverse topological)."""
+    """Reachable nodes, outputs first (reverse topological). Raises when
+    one of them was freed by an earlier backward."""
     order = []
     seen = {id(root)}
     stack = [(root, iter(root._parents))]
@@ -123,6 +135,8 @@ def _topo_order(root):
                 stack.append((parent, iter(parent._parents)))
                 break
         else:
+            if node._back is _FREED:
+                raise ValueError("backward: the graph was freed by an earlier backward")
             order.append(node)
             stack.pop()
     order.reverse()
@@ -136,8 +150,8 @@ def _from_op(values, parents, back):
     gradients, one per parent and in the order of parents. Where a
     parent does not require a gradient, back may put None, and
     backward drops whatever it puts there. backward calls back at most
-    once per sweep. The node is recorded only when some parent requires
-    a gradient.
+    once, then drops it. The node is recorded only when some parent
+    requires a gradient.
     """
     out = Tensor(values)
     if any(p.requires_grad for p in parents):
@@ -293,22 +307,22 @@ def encoder_layer(x, w, b, gain, bias, eps=1e-5):
     xhat *= inv
     out = xhat * gv
     out += bias.values
-    # t's buffer now takes what the backward needs of it: tanh' times
-    # the norm's scale.
-    slope = t
-    np.multiply(slope, slope, out=slope)
-    np.subtract(1, slope, out=slope)
-    slope *= inv
     parents = (x, w, b, gain, bias)
     needs = tuple(p.requires_grad for p in parents)
 
     def back(g):
+        # backward calls back once, so it may overwrite the buffers it holds.
         d_gain = np.einsum("ij,ij->j", g, xhat)[None, :] if needs[3] else None
         d_bias = g.sum(axis=0, keepdims=True) if needs[4] else None
         da = g * gv
-        tmp = xhat * (np.einsum("ij,ij->i", da, xhat)[:, None] / d)
+        tmp = np.multiply(xhat, np.einsum("ij,ij->i", da, xhat)[:, None] / d, out=xhat)
         tmp += da.mean(axis=1, keepdims=True)
         da -= tmp
+        # t's buffer takes tanh' times the norm's scale.
+        slope = t
+        np.multiply(slope, slope, out=slope)
+        np.subtract(1, slope, out=slope)
+        slope *= inv
         da *= slope
         d_x = da @ wv.T if needs[0] else None
         d_w = xv.T @ da if needs[1] else None
@@ -336,7 +350,8 @@ def row_dot(a, b):
 def weighted_infonce(x, anchor_rows, weights, temperature):
     """Contrastive loss of anchor rows against all rows, weighted positives.
 
-    Rows of x are scaled to unit norm; anchor a is row anchor_rows[a].
+    Rows of x are scaled to unit norm; anchor a is row anchor_rows[a],
+    and no row is an anchor twice.
     With E[a, j] = exp(cos(a, j) / temperature), shifted by the row
     maximum, and the self entry E[a, anchor_rows[a]] set to 0, anchor a
     scores log(numer_a / denom_a) for numer_a = sum_j weights[a, j] E[a, j]
@@ -377,7 +392,7 @@ def weighted_infonce(x, anchor_rows, weights, temperature):
         d_logits += inv_denom[:, None]
         d_logits *= e
         d_normed = d_logits.T @ scaled
-        np.add.at(d_normed, anchor_rows, d_logits @ normed * dtype.type(1.0 / temperature))
+        d_normed[anchor_rows] += d_logits @ normed * dtype.type(1.0 / temperature)
         proj = np.einsum("ij,ij->i", d_normed, normed)[:, None]
         return (inv * (d_normed - normed * proj),)
 

@@ -278,13 +278,24 @@ def save_features(path, features):
 def read_exact(fh, size, path, what):
     """The next size bytes of a binary file; a ValueError naming the file
     and the byte offset when the file ends first."""
+    return _read_array(fh, 1, size, np.uint8, path, what).tobytes()
+
+
+def _read_array(fh, rows, cols, dtype, path, what):
+    """The next rows x cols payload of a binary file, read straight into a
+    new array of dtype; a ValueError naming the file and the byte offset
+    when the file ends first, raised before the array is allocated."""
+    size = rows * cols * np.dtype(dtype).itemsize
     start = fh.tell()
     left = os.fstat(fh.fileno()).st_size - start
+    if size <= left:
+        out = np.empty((rows, cols), dtype=dtype)
+        left = fh.readinto(out)
     if size > left:
         raise ValueError(
             f"{path}: truncated at byte {start}: the {what} needs {size} bytes, {left} remain"
         )
-    return fh.read(size)
+    return out
 
 
 def read_end(fh, path):
@@ -328,9 +339,8 @@ def load_features(path, modality, expected_rows=None):
                 raise ValueError(
                     f"{path}: file holds {tag!r} features, expected {modality!r}"
                 )
-            payload = read_exact(fh, rows * cols * 4, path, "feature payload")
+            values = _read_array(fh, rows, cols, "<f4", path, "feature payload")
             read_end(fh, path)
-            values = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).copy()
         else:
             try:
                 values = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
@@ -342,9 +352,10 @@ def load_features(path, modality, expected_rows=None):
             f"{path}: feature rows ({values.shape[0]}) do not match "
             f"interaction items ({expected_rows})"
         )
-    bad = ~np.isfinite(values)
-    if bad.any():
-        row = int(np.argwhere(bad)[0][0])
+    # A NaN makes the minimum NaN, and an infinity is the minimum or the
+    # maximum: two passes and no temporary array.
+    if values.size and not np.isfinite([values.min(), values.max()]).all():
+        row = int(np.argwhere(~np.isfinite(values))[0][0])
         raise ValueError(f"{path}: non-finite feature value at row {row}")
     return FeatureMatrix(modality=modality, values=values)
 

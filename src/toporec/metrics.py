@@ -103,9 +103,11 @@ def evaluate(z_users, z_items, table, split, ns=(10, 20), block_size=512):
         scores[np.repeat(np.arange(len(chunk)), np.diff(block.indptr)), block.indices] = -np.inf
         # NaN ranks after every item, as in a stable descending sort.
         np.copyto(scores, -np.inf, where=np.isnan(scores))
-        rows, cols = top_k_entries(scores, top)
-        order = np.lexsort((cols, -scores[rows, cols], rows))
-        ranked = cols[order].reshape(len(chunk), top)
+        # Each row's top columns come in ascending order, so a stable sort
+        # of the row by descending score lets the lower item win a tie.
+        cols = top_k_entries(scores, top)[1].reshape(len(chunk), top)
+        order = np.argsort(-np.take_along_axis(scores, cols, axis=1), axis=1, kind="stable")
+        ranked = np.take_along_axis(cols, order, axis=1)
         # A row ranks only its unmasked items; its tail past them is cut.
         available = np.isfinite(scores).sum(axis=1, keepdims=True)
         keys = chunk[:, None] * num_items + ranked

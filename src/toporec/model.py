@@ -184,12 +184,12 @@ def neighborhood_alignment_loss(reps, anchor_rows, anchor_weights, temperature=1
     """Contrast anchors against the batch under graph-edge weighting.
 
     reps holds the batch representations (one row per batch item);
-    anchor_rows indexes the anchors within the batch; anchor_weights is
-    the (anchors, batch) slice of the supervision graph. For each anchor
-    the loss is -log of (weighted similarity mass of its edges) over
-    (total similarity mass), self excluded on both sides. Anchors with
-    no positive in-batch weight are dropped from the mean; if every
-    anchor drops, the loss is 0 (with a warning).
+    anchor_rows indexes the anchors within the batch, each row once;
+    anchor_weights is the (anchors, batch) slice of the supervision
+    graph. For each anchor the loss is -log of (weighted similarity mass
+    of its edges) over (total similarity mass), self excluded on both
+    sides. Anchors with no positive in-batch weight are dropped from the
+    mean; if every anchor drops, the loss is 0 (with a warning).
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
@@ -203,7 +203,10 @@ def neighborhood_alignment_loss(reps, anchor_rows, anchor_weights, temperature=1
             f"anchor weights shape {weights.shape} does not match "
             f"({len(anchor_rows)}, {batch_size})"
         )
-    if (weights < 0).any():
+    if len(np.unique(anchor_rows)) != len(anchor_rows):
+        raise ValueError("anchor rows must be distinct")
+    # fmin skips NaN, as the comparison weights < 0 does.
+    if np.fmin.reduce(weights, axis=None, initial=0.0) < 0:
         raise ValueError("alignment weights must be non-negative")
 
     loss = ag.weighted_infonce(reps, anchor_rows, weights, temperature)

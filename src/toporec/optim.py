@@ -7,7 +7,7 @@ import struct
 import numpy as np
 
 from .autograd import Tensor
-from .data import read_end, read_exact, write_file
+from .data import _read_array, read_end, read_exact, write_file
 
 __all__ = [
     "ParamStore",
@@ -92,7 +92,9 @@ def adam_step(store, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
     """One Adam update over every parameter that has a gradient.
 
     Weight decay is decoupled from the moment estimates and applied only
-    when positive. Gradients are cleared after the update.
+    when positive. Gradients are cleared after the update. Each update
+    runs in place through two scratch arrays, operation for operation
+    as p -= lr * m_hat / (sqrt(v_hat) + eps), then p -= lr * wd * p.
     """
     for name, p in store.items():
         g = p.grad
@@ -103,15 +105,23 @@ def adam_step(store, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
         store._steps[name] = t
         m = store._m[name]
         v = store._v[name]
+        step = np.multiply(g, 1.0 - beta1)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += step
+        np.multiply(g, g, out=step)
+        step *= 1.0 - beta2
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        p.values -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        v += step
+        np.divide(m, 1.0 - beta1 ** t, out=step)
+        step *= lr
+        denom = np.divide(v, 1.0 - beta2 ** t)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        p.values -= step
         if weight_decay > 0.0:
-            p.values -= lr * weight_decay * p.values
+            np.multiply(p.values, lr * weight_decay, out=step)
+            p.values -= step
         p.grad = None
 
 
@@ -158,7 +168,6 @@ def load_checkpoint(path):
             if code not in _CODE_DTYPES:
                 raise ValueError(f"{path}: unknown dtype code {code} for {name!r}")
             dtype = _CODE_DTYPES[code]
-            payload = read_exact(fh, rows * cols * dtype.itemsize, path, f"payload of {name!r}")
-            out[name] = np.frombuffer(payload, dtype=dtype).reshape(rows, cols).copy()
+            out[name] = _read_array(fh, rows, cols, dtype, path, f"payload of {name!r}")
         read_end(fh, path)
     return out

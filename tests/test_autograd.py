@@ -1,5 +1,8 @@
 """Gradient and value checks for the dense autodiff kernel."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -279,6 +282,85 @@ def test_backward_accumulates_across_calls():
     ag.tsum(x).backward()
     ag.tsum(x).backward()
     assert np.allclose(x.grad, 2.0)
+
+
+def _step_tape(rng):
+    """A float32 loss shaped like one training step (encoder layer,
+    dropout, fuser, propagation, BPR and alignment terms), its leaves, and
+    its tape: every non-leaf node once."""
+    def leaf(rows, cols):
+        return Tensor(rng.standard_normal((rows, cols)).astype(np.float32), requires_grad=True)
+
+    x = Tensor(rng.standard_normal((6, 5)).astype(np.float32))
+    w, b, gain, bias = leaf(5, 4), leaf(1, 4), leaf(1, 4), leaf(1, 4)
+    fuse_w, embed = leaf(4, 3), leaf(6, 3)
+    h = ag.dropout(ag.encoder_layer(x, w, b, gain, bias), 0.25, rng)
+    items = ag.add(embed, ag.tanh(ag.matmul(h, fuse_w)))
+    users = ag.spmm(sp.random(4, 6, density=0.5, random_state=0, dtype=np.float32), items)
+    gap = ag.sub(ag.row_dot(ag.gather_rows(users, [0, 1, 3]), ag.gather_rows(items, [0, 2, 4])),
+                 ag.row_dot(ag.gather_rows(users, [0, 1, 3]), ag.gather_rows(items, [1, 1, 5])))
+    bpr = ag.tmean(ag.softplus(ag.neg(gap)))
+    weights = np.array([[0, 1, 0, 0], [0.5, 0, 0, 0]], dtype=np.float32)
+    na = ag.weighted_infonce(ag.gather_rows(items, [0, 2, 3, 5]), [0, 1], weights, 0.2)
+    loss = ag.add(bpr, ag.scale(na, 0.5))
+    tape, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if node._parents and id(node) not in tape:
+            tape[id(node)] = node
+            stack.extend(node._parents)
+    return loss, [w, b, gain, bias, fuse_w, embed], list(tape.values())
+
+
+def test_backward_frees_every_node_of_the_graph():
+    loss, leaves, tape = _step_tape(np.random.default_rng(40))
+    assert len(tape) > 20
+    loss.backward()
+    assert all(leaf.grad is not None for leaf in leaves)
+    kept = [node for node in tape if node._parents or node._back is not ag._FREED]
+    assert kept == []
+    # The leaves keep what they had.
+    assert all(leaf._parents == () and leaf._back is None for leaf in leaves)
+
+
+def test_second_backward_through_a_freed_graph_raises():
+    loss, leaves, tape = _step_tape(np.random.default_rng(41))
+    loss.backward()
+    grads = [leaf.grad.copy() for leaf in leaves]
+    with pytest.raises(ValueError, match="freed by an earlier backward"):
+        loss.backward()
+    # So does a new graph built on a freed node, before any gradient moves.
+    with pytest.raises(ValueError, match="freed by an earlier backward"):
+        ag.tsum(tape[-1]).backward()
+    assert all(np.array_equal(leaf.grad, g) for leaf, g in zip(leaves, grads))
+
+
+def test_fit_holds_one_step_graph_at_a_time():
+    # Each step's graph keeps three (items x hidden) arrays for the first
+    # encoder layer of each modality, six in all, and its backward adds a
+    # few more. A second step's graph alive beside them adds six again.
+    from toporec.config import TrainConfig
+    from toporec.data import ROLE_TRAIN, make_split
+    from toporec.synth import make_clustered_dataset
+    from toporec.trainer import fit
+
+    items, hidden = 1000, 256
+    data = make_clustered_dataset(num_users=60, num_items=items, num_clusters=4, visual_dim=16,
+                                  textual_dim=8, interactions_low=5, interactions_high=8, seed=0)
+    table = make_split(data.table, seed=0)
+    cfg = TrainConfig(seed=5, batch_size=64, embed_dim=16, hidden_dim=hidden, max_epochs=1,
+                      na_weight=0.0)
+    assert len(table.role_edges(ROLE_TRAIN)) > 3 * cfg.batch_size
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fit(cfg, table, data.features_visual, data.features_textual)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = 12 * items * hidden * 4
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB over {bound / 1e6:.1f} MB"
 
 
 def test_long_chain_does_not_recurse():

@@ -3,6 +3,8 @@
 import os
 import re
 import stat
+import struct
+import tracemalloc
 from contextlib import nullcontext
 
 import numpy as np
@@ -371,6 +373,48 @@ def test_features_reject_non_finite(tmp_path):
     save_features(tmp_path / "bad.tmf", FeatureMatrix("visual", vals))
     with pytest.raises(ValueError, match="row 2"):
         load_features(tmp_path / "bad.tmf", "visual")
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_features_name_the_first_non_finite_row(tmp_path, value):
+    vals = np.random.default_rng(10).standard_normal((7, 3)).astype(np.float32)
+    vals[3, 2] = value
+    vals[6, 0] = value
+    save_features(tmp_path / "bad.tmf", FeatureMatrix("visual", vals))
+    with pytest.raises(ValueError, match="non-finite feature value at row 3$"):
+        load_features(tmp_path / "bad.tmf", "visual")
+
+
+def _traced(fn):
+    """fn's result, or the ValueError it raised, and the peak bytes
+    allocated while it ran."""
+    tracemalloc.start()
+    try:
+        try:
+            out = fn()
+        except ValueError as exc:
+            out = exc
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_feature_payload_is_read_in_place(tmp_path):
+    # The array the payload is read into, and no second copy of it.
+    path = tmp_path / "v.tmf"
+    values = np.random.default_rng(11).standard_normal((1000, 512)).astype(np.float32)
+    save_features(path, FeatureMatrix("visual", values))
+    loaded, peak = _traced(lambda: load_features(path, "visual"))
+    assert np.array_equal(loaded.values, values)
+    assert peak < 1.25 * values.nbytes, f"peak {peak} for a {values.nbytes}-byte payload"
+
+
+def test_feature_header_past_the_end_fails_before_allocating(tmp_path):
+    path = tmp_path / "v.tmf"
+    path.write_bytes(b"TMF1" + struct.pack("<IIB", 2**20, 2**10, 6) + b"visual" + bytes(64))
+    err, peak = _traced(lambda: load_features(path, "visual"))
+    assert "byte 19: the feature payload needs 4294967296 bytes, 64 remain" in str(err)
+    assert peak < 2**16
 
 
 def test_features_csv_fallback(tmp_path):

@@ -363,6 +363,17 @@ def test_alignment_loss_input_errors():
         neighborhood_alignment_loss(reps, np.array([0]), np.ones((2, 3)))
     with pytest.raises(ValueError, match="non-negative"):
         neighborhood_alignment_loss(reps, np.array([0]), -np.ones((1, 3)))
+    # A NaN does not hide a negative weight elsewhere in the slice.
+    with pytest.raises(ValueError, match="non-negative"):
+        neighborhood_alignment_loss(reps, np.array([0]), np.array([[np.nan, -1.0, 1.0]]))
+
+
+def test_alignment_loss_rejects_repeated_anchor_rows():
+    # The backward adds each anchor's gradient into its row once, so a
+    # row listed twice would lose one of its two contributions.
+    reps = Tensor(np.random.default_rng(15).standard_normal((3, 2)))
+    with pytest.raises(ValueError, match="anchor rows must be distinct"):
+        neighborhood_alignment_loss(reps, np.array([1, 0, 1]), np.ones((3, 3)))
 
 
 def test_alignment_loss_low_temperature_is_finite():

@@ -1,6 +1,7 @@
 """Adam, the parameter store, and checkpoint serialization."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,36 @@ def test_adam_with_decay_matches_oracle():
         adam_step(store, lr=0.01, weight_decay=0.1)
     expected = adam_oracle(np.array([[0.7, -0.4, 1.1]]), grads, lr=0.01, weight_decay=0.1)
     assert np.abs(p.values - expected[-1]).max() < 1e-10
+
+
+def _composed_adam(values, grads, lr, decay, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam written as whole-array expressions, one temporary per operation."""
+    m, v = np.zeros_like(values), np.zeros_like(values)
+    for t, g in enumerate(grads, start=1):
+        m = m * beta1 + (1.0 - beta1) * g
+        v = v * beta2 + (1.0 - beta2) * (g * g)
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        values = values - lr * m_hat / (np.sqrt(v_hat) + eps)
+        if decay > 0.0:
+            values = values - lr * decay * values
+    return values
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("decay", [0.0, 0.05])
+def test_in_place_adam_is_bit_identical_to_the_composed_update(dtype, decay):
+    rng = np.random.default_rng(12)
+    start = rng.standard_normal((30, 7)).astype(dtype)
+    grads = [rng.standard_normal((30, 7)).astype(dtype) for _ in range(6)]
+    store = ParamStore()
+    p = store.add("w", start.copy())
+    for g in grads:
+        p.grad = g.copy()
+        adam_step(store, lr=0.01, weight_decay=decay)
+    want = _composed_adam(start, grads, 0.01, decay)
+    assert p.values.dtype == want.dtype == dtype
+    assert p.values.tobytes() == want.tobytes()
 
 
 def test_one_step_descends_quadratic():
@@ -161,6 +192,23 @@ def test_checkpoint_roundtrip(tmp_path):
     for name in arrays:
         assert loaded[name].dtype == arrays[name].dtype
         assert np.array_equal(loaded[name], arrays[name])
+
+
+def test_checkpoint_payloads_are_read_in_place(tmp_path):
+    rng = np.random.default_rng(9)
+    arrays = {"a": rng.standard_normal((500, 256)).astype(np.float32),
+              "b": rng.standard_normal((300, 128))}
+    path = tmp_path / "model.tmc"
+    save_checkpoint(path, arrays)
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(np.array_equal(loaded[k], arrays[k]) for k in arrays)
+    payload = sum(a.nbytes for a in arrays.values())
+    assert peak < 1.25 * payload, f"peak {peak} for {payload} bytes of payload"
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
