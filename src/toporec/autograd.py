@@ -264,15 +264,13 @@ def gather_rows(a, idx):
     av = a.values
 
     def back(g):
-        # Row r of the scatter matrix picks the g rows gathered from r, in
-        # ascending order, so each sum runs as np.add.at's would.
-        order = np.argsort(idx, kind="stable")
-        indptr = np.zeros(a.rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(idx, minlength=a.rows), out=indptr[1:])
-        scatter = sp.csr_matrix(
-            (np.ones(len(idx), dtype=av.dtype), order, indptr), shape=(a.rows, len(idx))
+        # The gather matrix's transpose is CSC: it adds g's rows into their
+        # sources (negative ids wrapped) in index order, as np.add.at does.
+        gather = sp.csr_matrix(
+            (np.ones(len(idx), dtype=av.dtype), idx % a.rows, np.arange(len(idx) + 1)),
+            shape=(len(idx), a.rows),
         )
-        return (scatter @ g.astype(av.dtype, copy=False),)
+        return (gather.T @ g.astype(av.dtype, copy=False),)
 
     return _from_op(av[idx], (a,), back)
 

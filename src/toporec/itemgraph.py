@@ -454,6 +454,11 @@ def _parse_tmg1(data):
     num_nodes, nnz = int(header[1]), int(header[2])
     if num_nodes < 0 or nnz < 0:
         raise ValueError(f"header counts must be >= 0, got {num_nodes} nodes and {nnz} edges")
+    # At most 8 nodes a byte: the 8-byte-a-node index array then stays
+    # under 64 times the file's size, however short the file.
+    if num_nodes > 8 * len(data):
+        raise ValueError(f"the header declares {num_nodes} nodes; a {len(data)}-byte file "
+                         f"holds at most {8 * len(data)}")
     # Edge line e is lines[e - 1]; what follows the nnz-th line break is the rest.
     lines = body.split(b"\n", min(nnz, len(body)))
     rest = lines.pop() if len(lines) > nnz else b""

@@ -26,7 +26,6 @@ import scipy.sparse as sp
 from . import autograd as ag
 from .autograd import Tensor
 from .data import ROLE_TRAIN
-from .itemgraph import SparseGraph
 from .optim import ParamStore, xavier_uniform
 
 __all__ = [
@@ -230,21 +229,16 @@ def joint_loss(bpr, na, na_weight):
 
 def eligible_anchor_items(graph):
     """Items with at least one positive-weight out-edge."""
-    return np.flatnonzero(positive_subgraph(graph).out_degrees())
-
-
-def _weights_slice(graph, anchors, batch_ids, dtype):
-    """(anchors, batch) matrix of the anchors' edge weights into the batch."""
-    n = graph.num_nodes
-    mat = sp.csr_matrix((graph.weights.astype(dtype), graph.indices, graph.indptr), shape=(n, n))
-    return mat[anchors][:, batch_ids].toarray()
+    return np.flatnonzero(np.diff(positive_subgraph(graph).indptr))
 
 
 def positive_subgraph(graph):
-    """The edges of `graph` with positive weight, in CSR form."""
-    src, dst, w = graph.to_edges()
-    keep = w > 0
-    return SparseGraph.from_edges(graph.num_nodes, src[keep], dst[keep], w[keep])
+    """The edges of `graph` with positive weight, as a float64 scipy CSR."""
+    n = graph.num_nodes
+    # A copy, since eliminate_zeros compacts the arrays it holds in place.
+    mat = sp.csr_matrix((graph.weights, graph.indices, graph.indptr), shape=(n, n), copy=True)
+    mat.eliminate_zeros()
+    return mat
 
 
 def build_na_batch(graph, rng, num_anchors, positive=None, dtype=np.float32):
@@ -259,7 +253,7 @@ def build_na_batch(graph, rng, num_anchors, positive=None, dtype=np.float32):
     """
     if positive is None:
         positive = positive_subgraph(graph)
-    counts = positive.out_degrees()
+    counts = np.diff(positive.indptr)
     eligible = np.flatnonzero(counts)
     if len(eligible) == 0:
         return None
@@ -270,7 +264,7 @@ def build_na_batch(graph, rng, num_anchors, positive=None, dtype=np.float32):
     partners = positive.indices[positive.indptr[anchors] + rng.integers(0, counts[anchors])]
     batch_ids = np.unique(np.concatenate([anchors, partners]))
     anchor_rows = np.searchsorted(batch_ids, anchors)
-    weights = _weights_slice(graph, anchors, batch_ids, dtype)
+    weights = positive[anchors][:, batch_ids].astype(dtype).toarray()
     return batch_ids, anchor_rows, weights
 
 
@@ -278,5 +272,5 @@ def na_batch_from_items(graph, item_ids, dtype=np.float32):
     """Alignment batch over given items, every item serving as anchor."""
     batch_ids = np.unique(np.asarray(item_ids, dtype=np.int64))
     anchor_rows = np.arange(len(batch_ids))
-    weights = _weights_slice(graph, batch_ids, batch_ids, dtype)
+    weights = positive_subgraph(graph)[batch_ids][:, batch_ids].astype(dtype).toarray()
     return batch_ids, anchor_rows, weights

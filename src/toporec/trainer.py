@@ -28,7 +28,8 @@ from .config import TrainConfig, config_from_dict, validate_config
 from .data import ROLE_TEST, ROLE_TRAIN, ROLE_VAL, sample_bpr_triples, write_file
 from .itemgraph import build_knn_graph, corrupt_graph, fuse_graphs, random_prune, tps_prune
 from .metrics import evaluate
-from .model import (
+# eligible_anchor_items is unused here; bench/spans.py wraps it by name.
+from .model import (  # noqa: F401
     ModelConfig,
     MultimodalRecommender,
     build_na_batch,
@@ -280,11 +281,10 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
     )
     s_ui, s_iu = build_propagation_matrix(table, dtype)
 
-    use_na = cfg.na_weight > 0
-    if use_na and len(eligible_anchor_items(na_graph)) == 0:
+    positive = positive_subgraph(na_graph) if cfg.na_weight > 0 else None
+    if positive is not None and positive.nnz == 0:
         warnings.warn("supervision graph has no positive-weight edges; alignment disabled")
-        use_na = False
-    positive = positive_subgraph(na_graph) if use_na else None
+        positive = None
 
     n_train = len(table.role_edges(ROLE_TRAIN))
     steps_per_epoch = max(1, math.ceil(n_train / cfg.batch_size))
@@ -327,7 +327,7 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
             l_bpr = bpr_loss(z_u, z_i, batch)
             l_na = None
             na_ids = None
-            if use_na:
+            if positive is not None:
                 if cfg.na_anchor_mode == "independent":
                     na = build_na_batch(
                         na_graph, streams["anchors"], cfg.batch_size, positive, dtype
@@ -349,7 +349,6 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
                     f"non-finite loss at epoch {epoch} step {step}"
                     + (f"; offending batch dumped to {dump}" if dump else "")
                 )
-            model.params.zero_grad()
             loss.backward()
             adam_step(model.params, cfg.lr, weight_decay=cfg.l2_weight)
             bpr_total += l_bpr.item()

@@ -133,6 +133,14 @@ def test_gather_rows_gradient_with_repeats():
         np.add.at(expected, idx, g)
         assert leaf.grad.dtype == dtype
         assert leaf.grad.tobytes() == expected.tobytes()
+    # Ids counted from the end scatter into the rows they gathered.
+    leaf = Tensor(np.zeros((5, 3)), requires_grad=True)
+    idx = np.array([-1, 4, 0, -5, 2])
+    g = rng.standard_normal((len(idx), 3))
+    ag.tsum(ag.mul_const(ag.gather_rows(leaf, idx), g)).backward()
+    expected = np.zeros((5, 3))
+    np.add.at(expected, idx, g)
+    assert leaf.grad.tobytes() == expected.tobytes()
     with pytest.raises(ValueError, match="1-D"):
         ag.gather_rows(x, np.zeros((2, 2), dtype=np.int64))
 

@@ -5,6 +5,7 @@ import json
 import os
 import shutil
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -738,6 +739,26 @@ def test_graph_node_count_past_memory_fails_with_error_line(tmp_path, capsys, bo
     err = capsys.readouterr().err
     assert f"error: {bad}: the header declares 1000000000000000 nodes" in err
     assert "Traceback" not in err and not out.exists()
+
+
+def test_graph_node_count_past_file_size_fails_before_allocating(tmp_path, capsys):
+    # 10**7 nodes from 16 bytes: the index array alone would take 80 MB.
+    bad = tmp_path / "nodes.tmg"
+    bad.write_bytes(b"TMG1 10000000 0\n")
+    out = tmp_path / "out.tmg"
+    capsys.readouterr()
+    assert _run(["prune", "--graph", str(bad), "--out", str(out), "--k", "1"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}: the header declares 10000000 nodes" in err
+    assert not out.exists()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="the header declares 10000000 nodes"):
+            load_graph(bad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak} bytes"
 
 
 @pytest.mark.parametrize("nodes", [10, 40], ids=["fewer-nodes", "more-nodes"])

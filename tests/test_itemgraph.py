@@ -468,6 +468,12 @@ def test_graph_io_round_trip(tmp_path):
     empty = SparseGraph.from_rows(4, [([], [])] * 4)
     save_graph(tmp_path / "e.tmg", empty)
     assert graphs_equal(load_graph(tmp_path / "e.tmg"), empty)
+    # A file holds at most 8 nodes a byte: 80 for the 10 bytes "TMG1 80 0\n".
+    (tmp_path / "e.tmg").write_text("TMG1 80 0\n")
+    assert load_graph(tmp_path / "e.tmg").num_nodes == 80
+    (tmp_path / "e.tmg").write_text("TMG1 81 0\n")
+    with pytest.raises(ValueError, match="the header declares 81 nodes; a 10-byte file holds"):
+        load_graph(tmp_path / "e.tmg")
 
 
 def test_graph_file_is_header_then_one_line_per_edge(tmp_path):

@@ -570,6 +570,20 @@ def test_eligible_anchor_items():
     assert eligible_anchor_items(g).tolist() == [0, 3]
 
 
+def test_positive_subgraph_keeps_its_input():
+    g = SparseGraph.from_rows(
+        4, [([1, 2, 3], [0.5, 0.0, 2.0]), ([], []), ([0, 3], [0.0, 0.25]), ([2], [0.0])]
+    )
+    before = [arr.tobytes() for arr in (g.indptr, g.indices, g.weights)]
+    positive = positive_subgraph(g)
+    assert positive.format == "csr" and positive.shape == (4, 4)
+    assert positive.dtype == np.float64
+    assert positive.indptr.tolist() == [0, 2, 2, 3, 3]
+    assert positive.indices.tolist() == [1, 3, 3]
+    assert positive.data.tolist() == [0.5, 2.0, 0.25]
+    assert [arr.tobytes() for arr in (g.indptr, g.indices, g.weights)] == before
+
+
 def test_build_na_batch_invariants():
     rng_graph = np.random.default_rng(17)
     rows = []

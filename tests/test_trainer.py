@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import toporec.model as model_module
 import toporec.trainer as trainer_module
 from toporec.config import ConfigWarning, TrainConfig
 from toporec.data import ROLE_TRAIN, ROLE_VAL, InteractionTable, make_split
@@ -268,6 +269,24 @@ def test_fit_disables_alignment_on_weightless_graph():
         )
     assert any("alignment disabled" in str(w.message) for w in caught)
     assert all(row["loss_na"] == 0.0 for row in manifest.epochs)
+
+
+def test_fit_builds_one_positive_view_per_run(monkeypatch):
+    data = _tiny_data()
+    cfg = _tiny_config(max_epochs=2, na_anchor_mode="independent")
+    graph, _, _ = _quiet_graph(cfg, data)
+    calls = []
+
+    def counted(g, build=model_module.positive_subgraph):
+        calls.append(g)
+        return build(g)
+
+    # Both names: model's own helpers call it through their module.
+    monkeypatch.setattr(model_module, "positive_subgraph", counted)
+    monkeypatch.setattr(trainer_module, "positive_subgraph", counted)
+    manifest = _quiet_fit(cfg, data, na_graph=graph)
+    assert len(calls) == 1 and calls[0] is graph
+    assert all(row["loss_na"] > 0.0 for row in manifest.epochs)
 
 
 def test_fit_reruns_are_bit_identical(tmp_path):
