@@ -54,10 +54,15 @@ def _require(path, what, hint):
     return path
 
 
-def _add_train_flags(parser):
-    for f in fields(TrainConfig):
-        flag = "--" + f.name.replace("_", "-")
-        parser.add_argument(flag, dest=f.name, default=None, metavar=f.name.upper())
+# The TrainConfig fields `build_item_graph` reads with pruning off, and
+# so the only ones `build-graph` takes as flags.
+GRAPH_FIELDS = ("use_visual", "use_textual", "knn_k", "binarize_knn", "visual_weight")
+
+
+def _add_train_flags(parser, names=tuple(f.name for f in fields(TrainConfig))):
+    for name in names:
+        flag = "--" + name.replace("_", "-")
+        parser.add_argument(flag, dest=name, default=None, metavar=name.upper())
 
 
 def _collect_flag_overrides(args):
@@ -160,10 +165,10 @@ def cmd_corrupt(args):
 def cmd_train(args):
     cfg = _resolve(args)
     table, fv, ft = load_prepared(args.prepared)
-    graph = None
+    graph, graph_path = None, ""
     if cfg.na_weight > 0 and args.graph:
         graph = load_graph(_require(args.graph, "graph file", "prune"))
-    graph_path = os.path.abspath(args.graph) if args.graph else ""
+        graph_path = os.path.abspath(args.graph)
     manifest = fit(cfg, table, fv, ft, na_graph=graph, out_dir=args.out,
                    prepared_dir=os.path.abspath(args.prepared), graph_path=graph_path)
     _log(
@@ -258,7 +263,7 @@ def build_parser():
     p.add_argument("--prepared", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    _add_train_flags(p)
+    _add_train_flags(p, GRAPH_FIELDS)
     p.set_defaults(func=cmd_build_graph)
 
     p = sub.add_parser("prune", help="keep the top-K edges by topological similarity")

@@ -107,13 +107,6 @@ class TrainConfig:
     def numpy_dtype(self):
         return _DTYPES[self.dtype]
 
-    def as_dict(self):
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
-
 
 def validate_config(cfg):
     """Warn about settings off the search grids or, for settings no grid

@@ -241,18 +241,16 @@ def positive_subgraph(graph):
     return mat
 
 
-def build_na_batch(graph, rng, num_anchors, positive=None, dtype=np.float32):
+def build_na_batch(positive, rng, num_anchors, dtype=np.float32):
     """Sample alignment anchors and force one neighbor each into the batch.
 
-    Anchors are drawn uniformly without replacement from items with a
-    positive-weight out-edge; each contributes one uniformly chosen such
-    neighbor. `positive` is `positive_subgraph(graph)`, which a caller
-    sampling many batches builds once. Returns (batch item ids sorted
-    unique, anchor positions within the batch, (anchors, batch) weight
-    slice), or None when the graph has no eligible anchor.
+    `positive` is `positive_subgraph(graph)`, which a caller sampling many
+    batches builds once. Anchors are drawn uniformly without replacement
+    from items with a positive-weight out-edge; each contributes one
+    uniformly chosen such neighbor. Returns (batch item ids sorted unique,
+    anchor positions within the batch, (anchors, batch) weight slice), or
+    None when the graph has no eligible anchor.
     """
-    if positive is None:
-        positive = positive_subgraph(graph)
     counts = np.diff(positive.indptr)
     eligible = np.flatnonzero(counts)
     if len(eligible) == 0:

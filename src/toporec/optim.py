@@ -45,9 +45,6 @@ class ParamStore:
     def __getitem__(self, name):
         return self._params[name]
 
-    def __contains__(self, name):
-        return name in self._params
-
     def __len__(self):
         return len(self._params)
 
@@ -56,10 +53,6 @@ class ParamStore:
 
     def items(self):
         return self._params.items()
-
-    def zero_grad(self):
-        for t in self._params.values():
-            t.grad = None
 
     def step_count(self, name):
         return self._steps[name]
@@ -88,7 +81,10 @@ def xavier_uniform(rng, shape, dtype=np.float64):
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
-def adam_step(store, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(store, lr, weight_decay=0.0):
     """One Adam update over every parameter that has a gradient.
 
     Weight decay is decoupled from the moment estimates and applied only
@@ -105,18 +101,18 @@ def adam_step(store, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
         store._steps[name] = t
         m = store._m[name]
         v = store._v[name]
-        step = np.multiply(g, 1.0 - beta1)
-        m *= beta1
+        step = np.multiply(g, 1.0 - BETA1)
+        m *= BETA1
         m += step
         np.multiply(g, g, out=step)
-        step *= 1.0 - beta2
-        v *= beta2
+        step *= 1.0 - BETA2
+        v *= BETA2
         v += step
-        np.divide(m, 1.0 - beta1 ** t, out=step)
+        np.divide(m, 1.0 - BETA1 ** t, out=step)
         step *= lr
-        denom = np.divide(v, 1.0 - beta2 ** t)
+        denom = np.divide(v, 1.0 - BETA2 ** t)
         np.sqrt(denom, out=denom)
-        denom += eps
+        denom += EPS
         step /= denom
         p.values -= step
         if weight_decay > 0.0:

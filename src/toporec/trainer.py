@@ -118,12 +118,11 @@ def build_item_graph(cfg, features_visual, features_textual, corrupt_eps=0.0):
 
 @dataclass
 class RunManifest:
-    """One training run: `fit` fills it in as it trains and sets a `model`
-    attribute, which is not saved; `save` writes the run directory and
-    `load` is its one reader."""
+    """One training run: `fit` fills it in as it trains; `save` writes the
+    run directory and `load` is its one reader. Both `fit` and `load` set
+    a `checkpoint_path` attribute, and `fit` a `model`; neither is saved."""
 
     config: TrainConfig
-    seed: int
     data_hash: str
     feature_hashes: dict
     graph_hash: str
@@ -134,7 +133,6 @@ class RunManifest:
     epochs: list = field(default_factory=list)
     best_epoch: int = -1
     best_val_r20: float = math.nan
-    checkpoint_path: str = ""
     test_metrics: dict = field(default_factory=dict)
     val_metrics: dict = field(default_factory=dict)
     prepared_dir: str = ""
@@ -169,16 +167,17 @@ class RunManifest:
             raise ValueError(f"{path}: not a run manifest (it has no config object)")
         values = {f.name: saved[f.name] for f in fields(cls) if f.name in saved}
         values["config"] = config_from_dict(saved["config"], path)
-        values["checkpoint_path"] = os.path.join(run_dir, "checkpoint.tmc")
         # save writes each NaN as null.
         if values.get("best_val_r20", math.nan) is None:
             values["best_val_r20"] = math.nan
         try:
             values["epochs"] = [{k: math.nan if v is None else v for k, v in row.items()}
                                 for row in values.get("epochs", [])]
-            return cls(**values)
+            run = cls(**values)
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"{path}: not a run manifest ({exc})") from None
+        run.checkpoint_path = os.path.join(run_dir, "checkpoint.tmc")
+        return run
 
 
 def _nulls(value):
@@ -293,7 +292,6 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
 
     run = RunManifest(
         config=cfg,
-        seed=cfg.seed,
         data_hash=data_hash(table),
         feature_hashes={tag: _sha256(arr) for tag, arr in features.items()},
         graph_hash=_graph_hash(na_graph),
@@ -301,11 +299,11 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
         num_items=table.num_items,
         visual_dim=model.cfg.visual_dim,
         textual_dim=model.cfg.textual_dim,
-        checkpoint_path=os.path.join(out_dir, "checkpoint.tmc") if out_dir else "",
         prepared_dir=prepared_dir,
         graph_path=graph_path,
     )
     run.model = model
+    run.checkpoint_path = os.path.join(out_dir, "checkpoint.tmc") if out_dir else ""
     best_state = None
     best_z = None
     # A validation pass scores the reported cutoffs too, so the best
@@ -329,9 +327,7 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
             na_ids = None
             if positive is not None:
                 if cfg.na_anchor_mode == "independent":
-                    na = build_na_batch(
-                        na_graph, streams["anchors"], cfg.batch_size, positive, dtype
-                    )
+                    na = build_na_batch(positive, streams["anchors"], cfg.batch_size, dtype)
                 else:
                     pool = np.concatenate([batch.pos_items, batch.neg_items])
                     na = na_batch_from_items(na_graph, pool, dtype)

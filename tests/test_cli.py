@@ -224,6 +224,27 @@ def test_graph_commands_have_no_binary_flag(argv, capsys):
     assert "unrecognized arguments: --binary" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--lr", "0.1"], ["--prune-k", "3"]], ids=["lr", "prune-k"])
+def test_build_graph_refuses_flags_it_does_not_read(pipeline, tmp_path, capsys, flag):
+    _, _, prep, _, _ = pipeline
+    out = tmp_path / "g.tmg"
+    with pytest.raises(SystemExit) as exit_info:
+        _run(["build-graph", "--prepared", str(prep), "--out", str(out), "--knn-k", "4", *flag])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_build_graph_config_may_hold_training_keys(pipeline, tmp_path):
+    _, _, prep, graph, _ = pipeline
+    ini = tmp_path / "run.ini"
+    ini.write_text("[train]\nknn_k = 4\nlr = 0.1\nprune_k = 3\nseed = 9\ndtype = float64\n")
+    out = tmp_path / "g.tmg"
+    assert _run(["build-graph", "--prepared", str(prep), "--out", str(out),
+                 "--config", str(ini)]) == 0
+    assert _digest(out) == _digest(graph)
+
+
 def test_train_writes_manifest_once(pipeline, tmp_path, monkeypatch):
     _, _, prep, _, pruned = pipeline
     from toporec.trainer import RunManifest
@@ -243,6 +264,16 @@ def test_train_writes_manifest_once(pipeline, tmp_path, monkeypatch):
     manifest = json.loads((run / "manifest.json").read_text())
     assert manifest["prepared_dir"] == str(prep)
     assert manifest["graph_path"] == str(pruned)
+
+
+def test_train_records_no_graph_it_did_not_read(pipeline, tmp_path):
+    _, _, prep, _, _ = pipeline
+    run = tmp_path / "run"
+    assert _run(["train", "--prepared", str(prep), "--graph", str(tmp_path / "none" / "g.tmg"),
+                 "--out", str(run), "--na-weight", "0", "--max-epochs", "1",
+                 "--embed-dim", "8", "--hidden-dim", "8"]) == 0
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert (manifest["graph_path"], manifest["graph_hash"]) == ("", "")
 
 
 def test_train_without_graph_names_missing_steps(pipeline, capsys):
@@ -530,14 +561,27 @@ def test_evaluate_loads_only_the_run_directory_checkpoint(trained, tmp_path, cap
     run = tmp_path / "no_checkpoint"
     run.mkdir()
     manifest = json.loads((trained / "manifest.json").read_text())
-    # The manifest still names the other run's checkpoint, which exists.
-    assert os.path.exists(manifest["checkpoint_path"])
+    # An older manifest named its checkpoint; this one names the other
+    # run's, which exists.
+    manifest["checkpoint_path"] = str(trained / "checkpoint.tmc")
     (run / "manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
     assert _run(["evaluate", "--run", str(run), "--out", str(tmp_path / "m")]) == 1
     err = capsys.readouterr().err
     assert f"error: checkpoint not found at {run / 'checkpoint.tmc'}" in err
     assert not (tmp_path / "m.json").exists()
+
+
+def test_evaluate_reads_a_manifest_with_retired_keys(trained, tmp_path):
+    run = tmp_path / "old_run"
+    shutil.copytree(trained, run)
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert not {"seed", "checkpoint_path"} & set(manifest)
+    manifest.update(seed=manifest["config"]["seed"], checkpoint_path="run0/checkpoint.tmc")
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    assert _run(["evaluate", "--run", str(trained), "--out", str(tmp_path / "new")]) == 0
+    assert _run(["evaluate", "--run", str(run), "--out", str(tmp_path / "old")]) == 0
+    assert (tmp_path / "old.json").read_text() == (tmp_path / "new.json").read_text()
 
 
 def test_map_ids_out_of_file_order_fail_with_error_line(pipeline, trained, tmp_path, capsys):

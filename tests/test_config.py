@@ -1,8 +1,9 @@
 """Configuration defaults, validation rules, and file/flag layering."""
 
+import json
 import re
 import warnings
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -128,11 +129,12 @@ def test_numpy_dtype_mapping():
     assert TrainConfig(dtype="float64").numpy_dtype() is np.float64
 
 
-def test_as_dict_listifies_tuples():
-    d = TrainConfig().as_dict()
+def test_config_roundtrips_through_json():
+    # As a run manifest stores it: asdict, with eval_topn written as a list.
+    d = json.loads(json.dumps(asdict(TrainConfig())))
     assert d["eval_topn"] == [10, 20]
     assert d["lr"] == 1e-3
-    assert TrainConfig(**{**d, "eval_topn": tuple(d["eval_topn"])}) == TrainConfig()
+    assert config_from_dict(d) == TrainConfig()
 
 
 def test_flag_coercion():
@@ -150,7 +152,7 @@ def test_flag_coercion():
 def test_config_from_dict_checks_each_value_against_its_field():
     cfg = config_from_dict({"lr": 1, "eval_topn": [5, 15], "use_visual": False, "seed": 3})
     assert (cfg.lr, cfg.eval_topn, cfg.use_visual, cfg.seed) == (1, (5, 15), False, 3)
-    assert config_from_dict(TrainConfig().as_dict()) == TrainConfig()
+    assert config_from_dict(asdict(TrainConfig())) == TrainConfig()
     base = TrainConfig(seed=9)
     assert config_from_dict({"lr": 5e-4}, base=base) == TrainConfig(seed=9, lr=5e-4)
     bad = [

@@ -594,7 +594,7 @@ def test_build_na_batch_invariants():
     g = SparseGraph.from_rows(12, rows)
 
     for seed in range(5):
-        out = build_na_batch(g, np.random.default_rng(seed), 6)
+        out = build_na_batch(positive_subgraph(g), np.random.default_rng(seed), 6)
         batch_ids, anchor_rows, weights = out
         assert len(anchor_rows) == 6
         assert np.array_equal(np.unique(batch_ids), batch_ids)
@@ -611,15 +611,14 @@ def test_build_na_batch_invariants():
 
 def test_build_na_batch_determinism_and_caps():
     g = SparseGraph.from_rows(3, [([1], [1.0]), ([2], [1.0]), ([], [])])
-    a = build_na_batch(g, np.random.default_rng(3), 10)
-    b = build_na_batch(g, np.random.default_rng(3), 10)
+    a, b = (build_na_batch(positive_subgraph(g), np.random.default_rng(3), 10) for _ in range(2))
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
     assert np.array_equal(a[2], b[2])
     assert len(a[1]) == 2  # only two eligible anchors exist
 
     empty = SparseGraph.from_rows(2, [([], []), ([], [])])
-    assert build_na_batch(empty, np.random.default_rng(0), 4) is None
+    assert build_na_batch(positive_subgraph(empty), np.random.default_rng(0), 4) is None
 
 
 def _weights_loop(graph, anchors, batch_ids, dtype):
@@ -675,7 +674,7 @@ def test_build_na_batch_matches_per_anchor_loop():
                 rng_ref = np.random.default_rng(1000 + case)
                 rng_new = np.random.default_rng(1000 + case)
                 ref = _na_batch_loop(g, rng_ref, num_anchors, dtype)
-                out = build_na_batch(g, rng_new, num_anchors, positive, dtype)
+                out = build_na_batch(positive, rng_new, num_anchors, dtype)
                 assert rng_new.bit_generator.state == rng_ref.bit_generator.state
                 if ref is None:
                     assert out is None

@@ -1,11 +1,13 @@
 """The package's exported names, its one file writer, its readers, and the
 README's commands."""
 
+import argparse
 import ast
 import importlib
 import pkgutil
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -55,6 +57,25 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(command, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
+
+
+def test_each_command_takes_only_the_train_settings_it_reads():
+    from toporec.config import TrainConfig
+
+    names = {f.name for f in fields(TrainConfig)}
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    taken = {cmd: {a.dest for a in p._actions} & names for cmd, p in commands.items()}
+    assert taken == {
+        "synth": {"seed"},  # its own --seed for the generator, like prepare's and corrupt's
+        "prepare": {"seed"},
+        "build-graph": {"use_visual", "use_textual", "knn_k", "binarize_knn", "visual_weight"},
+        "prune": set(),
+        "corrupt": {"seed"},
+        "train": names,
+        "evaluate": set(),
+        "ablate": names,
+    }
 
 
 def test_readme_variants_line_names_every_variant_in_order():

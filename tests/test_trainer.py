@@ -4,12 +4,14 @@ import hashlib
 import json
 import os
 import warnings
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
 import toporec.model as model_module
 import toporec.trainer as trainer_module
+from toporec.cli import GRAPH_FIELDS
 from toporec.config import ConfigWarning, TrainConfig
 from toporec.data import ROLE_TRAIN, ROLE_VAL, InteractionTable, make_split
 from toporec.itemgraph import SparseGraph, graphs_equal
@@ -149,6 +151,28 @@ def test_build_item_graph_corruption_path():
     assert np.array_equal(clean.out_degrees(), noisy.out_degrees())
     _, noisy2, _ = _quiet_graph(cfg, data, corrupt_eps=0.5)
     assert graphs_equal(noisy, noisy2)
+
+
+def test_unpruned_graph_reads_only_the_build_graph_fields():
+    data = _tiny_data()
+    base = _tiny_config(prune_mode="none")
+    graph, _, _ = _quiet_graph(base, data)
+    others = dict(
+        seed=9, lr=5e-4, batch_size=32, embed_dim=4, hidden_dim=16, depth=3, gcn_layers=0,
+        na_weight=0.5, temperature=0.5, l2_weight=1e-2, dropout=0.2, prune_k=4,
+        prune_mode="random", na_anchor_mode="bpr_batch", na_on_modalities=True, max_epochs=3,
+        patience=2, eval_stride=2, eval_topn=(5,), dtype="float64",
+    )
+    assert set(others) == {f.name for f in fields(TrainConfig)} - set(GRAPH_FIELDS)
+    moved = replace(base, **others)
+    assert all(getattr(moved, name) != getattr(base, name) for name in others)
+    assert graphs_equal(_quiet_graph(replace(moved, prune_mode="none"), data)[0], graph)
+    changes = dict(use_visual=False, use_textual=False, knn_k=4, binarize_knn=False,
+                   visual_weight=0.5)
+    assert set(changes) == set(GRAPH_FIELDS)
+    for name, value in changes.items():
+        changed, _, _ = _quiet_graph(replace(base, **{name: value}), data)
+        assert not graphs_equal(changed, graph), name
 
 
 def test_fit_requires_graph_for_alignment():
@@ -361,12 +385,12 @@ def test_manifest_artifacts(tmp_path):
     manifest = _quiet_fit(cfg, data, na_graph=graph, out_dir=str(tmp_path))
 
     loaded = json.loads((tmp_path / "manifest.json").read_text())
-    assert loaded["config"] == cfg.as_dict()
-    assert loaded["seed"] == cfg.seed
+    assert loaded["config"] == {**asdict(cfg), "eval_topn": list(cfg.eval_topn)}
     assert loaded["best_epoch"] == manifest.best_epoch
-    assert loaded["checkpoint_path"] == str(tmp_path / "checkpoint.tmc")
-    assert "model" not in loaded
-    assert os.path.exists(loaded["checkpoint_path"])
+    # The seed is the config's, and the checkpoint is always the run directory's own.
+    assert not {"model", "seed", "checkpoint_path"} & set(loaded)
+    assert manifest.checkpoint_path == str(tmp_path / "checkpoint.tmc")
+    assert os.path.exists(manifest.checkpoint_path)
 
     lines = (tmp_path / "epochs.csv").read_text().strip().splitlines()
     assert lines[0] == "epoch,loss_bpr,loss_na,val_r20,val_n20"
@@ -402,12 +426,16 @@ def test_load_returns_the_manifest_fit_returned(tmp_path):
         assert saved == returned
     assert np.isnan(loaded.epochs[1]["val_r20"]) and np.isnan(loaded.epochs[1]["val_n20"])
 
-    # A copied run directory points at its own checkpoint, not the one
-    # the file records.
+    # A copied run directory points at its own checkpoint, also when its
+    # manifest is of the older kind that recorded a seed and a checkpoint path.
     copy = tmp_path / "copy"
     copy.mkdir()
-    (copy / "manifest.json").write_text((run / "manifest.json").read_text())
-    assert RunManifest.load(str(copy)).checkpoint_path == str(copy / "checkpoint.tmc")
+    old = json.loads((run / "manifest.json").read_text())
+    old.update(seed=cfg.seed, checkpoint_path=str(run / "checkpoint.tmc"))
+    (copy / "manifest.json").write_text(json.dumps(old))
+    copied = RunManifest.load(str(copy))
+    assert copied.checkpoint_path == str(copy / "checkpoint.tmc")
+    assert json.dumps(copied.to_dict(), sort_keys=True) == saved
 
 
 def _stop_reference(script, eval_stride, patience, max_epochs):
