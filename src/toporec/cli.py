@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 
-from .config import TrainConfig, load_config_file, resolve_config
+from .config import ConfigWarning, TrainConfig, load_config_file, resolve_config
 from .data import (
     FeatureMatrix,
     load_features,
@@ -44,8 +45,12 @@ from .trainer import (
 )
 
 
+def _line(**kv):
+    return " ".join(f"{k}={v}" for k, v in kv.items())
+
+
 def _log(**kv):
-    print(" ".join(f"{k}={v}" for k, v in kv.items()), file=sys.stderr)
+    print(_line(**kv), file=sys.stderr)
 
 
 def _require(path, what, hint):
@@ -69,8 +74,13 @@ def _collect_flag_overrides(args):
     return {f.name: getattr(args, f.name) for f in fields(TrainConfig) if hasattr(args, f.name)}
 
 
-def _resolve(args):
+def _resolve(args, names=None):
+    """The command's config. A file key outside `names` (when given) is
+    checked but not applied, so it draws no ConfigWarning from a command
+    that never reads it."""
     file_train = load_config_file(args.config) if getattr(args, "config", None) else {}
+    if names is not None:
+        file_train = {key: value for key, value in file_train.items() if key in names}
     return resolve_config(file_train, _collect_flag_overrides(args))
 
 
@@ -125,7 +135,7 @@ def cmd_prepare(args):
 
 
 def cmd_build_graph(args):
-    cfg = _resolve(args)
+    cfg = _resolve(args, GRAPH_FIELDS)
     _, fv, ft = load_prepared(args.prepared)
     graph, _, _ = build_item_graph(replace(cfg, prune_mode="none"), fv, ft)
     save_graph(args.out, graph)
@@ -309,12 +319,23 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    python_format = warnings.formatwarning
+
+    def one_line(message, category, *where, **line):
+        # A shown ConfigWarning is one key=value line like the progress log.
+        if issubclass(category, ConfigWarning):
+            return _line(event="warning", command=args.command, message=message) + "\n"
+        return python_format(message, category, *where, **line)
+
+    warnings.formatwarning = one_line
     try:
         return args.func(args)
     except (ValueError, OSError, TrainingAborted) as exc:
         _log(event="error", command=args.command)
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = python_format
 
 
 if __name__ == "__main__":

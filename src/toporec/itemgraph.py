@@ -174,13 +174,48 @@ def top_k_entries(scores, k):
     return flat // n, flat % n
 
 
-# The Gram matrix is computed in _GRAM_ROWS x _GRAM_ROWS blocks, each pair
-# of row blocks once, so every cosine comes from one product and is the same
-# number for (m, n) and (n, m). The block shape of a BLAS product can move
-# the last bit of a cosine weight, so _GRAM_ROWS stays fixed. _TOPK_ROWS
-# bounds the memory of the selection.
+# The float32 Gram matrix is screened in _GRAM_ROWS x _GRAM_ROWS blocks,
+# each pair of row blocks once; _TOPK_ROWS bounds the memory of each
+# selection, _F64_ROWS the feature rows held in float64 at a time, which
+# then stay in cache, and _PAIR_ROWS one batch of pairwise float64 dots.
+# Weights come from those dots, never from a block product, so no block
+# shape moves a weight's last bit.
 _GRAM_ROWS = 2048
 _TOPK_ROWS = 512
+_F64_ROWS = 128
+_PAIR_ROWS = 32
+_U32 = 2.0 ** -24  # float32's unit roundoff
+
+
+def _screen_error(d):
+    """A bound on |float32 screen score - float64 cosine| for rows of width d.
+
+    Let x, y be the float64 unit rows, x' and y' their float32 copies and
+    u = 2^-24, so x'_i = x_i (1 + e_i) with |e_i| <= u (a component
+    rounded into float32's subnormal range errs by at most 2^-150, far
+    inside the slack below). Then
+    - rounding the inputs moves the dot by at most (2u + u^2) sum |x_i y_i|
+      <= 2u + u^2, by Cauchy-Schwarz on unit rows;
+    - a float32 dot of length d, in any order and with or without fused
+      multiply-adds, errs by at most gamma_d sum |x'_i y'_i| <= gamma_d (1 + u)^2,
+      where gamma_d = d u / (1 - d u) (Higham, Accuracy and Stability of
+      Numerical Algorithms, 2nd ed., section 3.1);
+    - the two sum to at most (d + 3) u / (1 - d u) when (3d + 1) u <= 1;
+    - the float64 normalisation and rescoring err by about d 2^-53 each,
+      under one more u for d < 2^27.
+    Wider rows get no bound, so every row is scored in float64.
+    """
+    if d > 2 ** 22:
+        return math.inf
+    return (d + 4) * _U32 / (1 - d * _U32)
+
+
+def _unit_rows(rows, norms):
+    """Scale float64 `rows` to unit length in place; all-zero rows (norm 0)
+    become +0.0, -0.0 entries included."""
+    np.divide(rows, norms[:, None], out=rows, where=norms[:, None] > 0)
+    rows[norms == 0] = 0.0
+    return rows
 
 
 def _c_contiguous(a):
@@ -189,10 +224,82 @@ def _c_contiguous(a):
     pages, where one pass over all columns is about twice as slow."""
     if a.flags.c_contiguous:
         return a
-    out = np.empty(a.shape)
+    out = np.empty(a.shape, dtype=a.dtype)
     for lo in range(0, a.shape[1], 64):
         out[:, lo:lo + 64] = a[:, lo:lo + 64]
     return out
+
+
+def _proposals(rows, n, width, dtype):
+    """Empty (columns, scores) slots for `rows` rows that `_propose` fills
+    from the column blocks of an n-column score matrix."""
+    blocks = range(0, n, _GRAM_ROWS)
+    slots = width * (len(blocks) - 1) + min(width, n - blocks[-1])
+    return np.empty((rows, slots), dtype=np.int64), np.empty((rows, slots), dtype=dtype)
+
+
+def _propose(cand_cols, cand_scores, sims, row0, col0, width):
+    """Put the `width` best columns of each row of one block of scores, or
+    all of them when the block is no wider, in the block's slots.
+
+    Row m keeps the proposals of column block b in the `width` slots from
+    b * width, so its proposed columns ascend along the row and
+    top_k_entries' tie rule carries over: the `width` best of a row's
+    proposals are its `width` best columns.
+    """
+    slot = col0 // _GRAM_ROWS * width
+    for lo in range(0, len(sims), _TOPK_ROWS):
+        part = _c_contiguous(sims[lo:lo + _TOPK_ROWS])
+        if part.shape[1] > width:
+            cols = top_k_entries(part, width)[1].reshape(len(part), width)
+        else:
+            cols = np.broadcast_to(np.arange(part.shape[1]), part.shape)
+        rows = slice(row0 + lo, row0 + lo + len(part))
+        cand_cols[rows, slot:slot + cols.shape[1]] = col0 + cols
+        cand_scores[rows, slot:slot + cols.shape[1]] = np.take_along_axis(part, cols, 1)
+
+
+def _cosines(values, norms, src, dst):
+    """float64 cosines of the pairs (src[p], dst[p]) of feature rows.
+
+    Each distinct pair is scored once, as the float64 dot of the
+    lower-index row with the higher-index one divided by their norms in
+    that order, so (m, n) and (n, m) get the same bits. Pairs with an
+    all-zero row score +0.0.
+    """
+    n = len(values)
+    keys, which = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst),
+                            return_inverse=True)
+    lo, hi = keys // n, keys % n
+    out = np.empty(len(lo))
+    for p in range(0, len(lo), _PAIR_ROWS):
+        a, b = lo[p:p + _PAIR_ROWS], hi[p:p + _PAIR_ROWS]
+        out[p:p + len(a)] = np.einsum("ij,ij->i", values[a], values[b], dtype=np.float64)
+    live = (norms[lo] > 0) & (norms[hi] > 0)
+    out[live] /= norms[lo[live]]
+    out[live] /= norms[hi[live]]
+    out[~live] = 0.0
+    return out[which]
+
+
+def _exact_rows(values, norms, rows, k):
+    """(src, dst) of the k best columns of each of `rows`, with every
+    column scored by a float64 product of unit rows; ties go to the lower
+    column. Each column block is normalised once and meets the rows
+    _F64_ROWS at a time."""
+    n = len(values)
+    cand_cols, cand_scores = _proposals(len(rows), n, k, np.float64)
+    for lo in range(0, n, _GRAM_ROWS):
+        right = _unit_rows(values[lo:lo + _GRAM_ROWS].astype(np.float64),
+                           norms[lo:lo + _GRAM_ROWS])
+        for p in range(0, len(rows), _F64_ROWS):
+            part = rows[p:p + _F64_ROWS]
+            sims = _unit_rows(values[part].astype(np.float64), norms[part]) @ right.T
+            own = np.flatnonzero((part >= lo) & (part < lo + len(right)))
+            sims[own, part[own] - lo] = -np.inf
+            _propose(cand_cols, cand_scores, sims, p, lo, k)
+    r, pos = top_k_entries(cand_scores, k)
+    return rows[r], cand_cols[r, pos]
 
 
 def build_knn_graph(features, k, binarize=True):
@@ -203,68 +310,81 @@ def build_knn_graph(features, k, binarize=True):
     everything. With binarize=False edges carry the cosine value clipped
     at zero instead of weight 1.
 
-    Each cosine is computed once, for the pair of row blocks that holds
-    it, so the weights of (m, n) and (n, m) are equal to the last bit.
-    Every block proposes its k best columns for each row; the k best of
-    those under the same order are exactly the row's k best overall.
+    The cosines are screened in float32 and decided in float64. Rows are
+    normalised in float64 and kept as one float32 copy, whose Gram
+    matrix proposes each row's best min(2k, n) columns. With s_k the
+    row's k-th screen score and delta the bound of `_screen_error` on
+    how far a screen score lies from the float64 cosine, a proposed
+    column above s_k + 2 delta is kept and one below s_k - 2 delta is
+    dropped; only the columns in between are rescored by a float64
+    pairwise dot (`_cosines`), and the best of them fill the row. A row
+    whose band may reach past its proposals (ties, duplicate or all-zero
+    rows) is scored against every column in float64 instead
+    (`_exact_rows`). Every cosine weight comes from `_cosines`, so the
+    weights of (m, n) and (n, m) are equal to the last bit.
     """
     values = features.values if hasattr(features, "values") else np.asarray(features)
-    n = values.shape[0]
+    n, d = values.shape
     if k < 1:
         raise ValueError(f"knn k must be >= 1, got {k}")
     if k >= n:
         raise ValueError(f"knn k={k} needs more than {k} items, have {n}")
-    normed = values.astype(np.float64)  # a fresh copy, normalised in place
-    norms = np.empty((n, 1))
-    for lo in range(0, n, _GRAM_ROWS):
-        chunk = normed[lo:lo + _GRAM_ROWS]
-        norms[lo:lo + _GRAM_ROWS, 0] = (chunk * chunk).sum(axis=1)
-    np.sqrt(norms, out=norms)
-    bad = np.flatnonzero(~np.isfinite(norms))
-    if bad.size:
-        raise ValueError(f"feature row {bad[0]} has no finite norm")
-    np.divide(normed, norms, out=normed, where=norms > 0)
-    normed[norms[:, 0] == 0] = 0.0  # -0.0 entries too, so zero rows are +0.0
+    norms = np.empty(n)
+    screen = np.empty((n, d), dtype=np.float32)
+    for lo in range(0, n, _F64_ROWS):
+        block = values[lo:lo + _F64_ROWS].astype(np.float64)
+        block_norms = norms[lo:lo + _F64_ROWS]
+        np.sqrt((block * block).sum(axis=1), out=block_norms)
+        bad = np.flatnonzero(~np.isfinite(block_norms))
+        if bad.size:
+            raise ValueError(f"feature row {lo + bad[0]} has no finite norm")
+        screen[lo:lo + _F64_ROWS] = _unit_rows(block, block_norms)
 
-    # Row m keeps the candidates of column block b in the k slots from
-    # b * k (fewer for a last block narrower than k), so its candidate
-    # columns ascend along the row and top_k_entries' tie rule carries over.
-    starts = range(0, n, _GRAM_ROWS)
-    slots = k * (len(starts) - 1) + min(k, n - starts[-1])
-    cand_cols = np.empty((n, slots), dtype=np.int64)
-    cand_scores = np.empty((n, slots))
-
-    def propose(sims, row0, col0):
-        # The k best columns of each row of one block, or all of them when
-        # the block is no wider than k.
-        slot = col0 // _GRAM_ROWS * k
-        for lo in range(0, len(sims), _TOPK_ROWS):
-            part = _c_contiguous(sims[lo:lo + _TOPK_ROWS])
-            if part.shape[1] > k:
-                cols = top_k_entries(part, k)[1].reshape(len(part), k)
-            else:
-                cols = np.broadcast_to(np.arange(part.shape[1]), part.shape)
-            rows = slice(row0 + lo, row0 + lo + len(part))
-            cand_cols[rows, slot:slot + cols.shape[1]] = col0 + cols
-            cand_scores[rows, slot:slot + cols.shape[1]] = np.take_along_axis(part, cols, 1)
-
-    for i in starts:
-        block_i = normed[i:i + _GRAM_ROWS]
+    width = min(2 * k, n)
+    cand_cols, cand_scores = _proposals(n, n, width, np.float32)
+    for i in range(0, n, _GRAM_ROWS):
+        block_i = screen[i:i + _GRAM_ROWS]
         for j in range(i, n, _GRAM_ROWS):
-            block_j = normed[j:j + _GRAM_ROWS]
-            # On the diagonal numpy computes X @ X.T as a symmetric product,
-            # whose two triangles are equal bit for bit.
-            gram = block_i @ block_j.T
+            gram = block_i @ screen[j:j + _GRAM_ROWS].T
             if j == i:
                 np.fill_diagonal(gram, -np.inf)
-            propose(gram, i, j)
+            _propose(cand_cols, cand_scores, gram, i, j, width)
             if j > i:
-                propose(gram.T, j, i)
+                _propose(cand_cols, cand_scores, gram.T, j, i, width)
             del gram  # before the next product, so one block is live at a time
-    src, pos = top_k_entries(cand_scores, k)
-    scores = cand_scores[src, pos]
-    weights = np.ones(len(scores)) if binarize else np.clip(scores, 0.0, None)
-    return SparseGraph.from_edges(n, src, cand_cols[src, pos], weights)
+    del screen
+    src, pos = top_k_entries(cand_scores, width)
+    cols = cand_cols[src, pos].reshape(n, width)
+    scores = cand_scores[src, pos].reshape(n, width).astype(np.float64)
+
+    # The row's k-th float64 cosine lies within delta of s_k, so a column
+    # more than 2 delta above s_k beats it and one more than 2 delta below
+    # loses to it. A row none of whose proposals is below the band may
+    # have band columns it never proposed.
+    delta = _screen_error(d)
+    kth = np.partition(scores, width - k, axis=1)[:, [width - k]]
+    above = scores > kth + 2 * delta
+    below = scores < kth - 2 * delta
+    band = ~(above | below)
+    covered = below.any(axis=1)
+    # Columns above the band, and the whole band of a row with no more band
+    # columns than places left, are kept (+inf); columns below it are
+    # dropped (-inf). Any other band is decided by its float64 cosines.
+    places = k - np.count_nonzero(above, axis=1)
+    contested = covered & (np.count_nonzero(band, axis=1) > places)
+    decide = np.where(below, -np.inf, np.inf)
+    r, c = np.nonzero(band & contested[:, None])
+    decide[r, c] = _cosines(values, norms, r, cols[r, c])
+    rows = np.flatnonzero(covered)
+    r, c = top_k_entries(decide[rows], k)
+    src, dst = rows[r], cols[rows[r], c]
+    redo = np.flatnonzero(~covered)
+    if redo.size:
+        redo_src, redo_dst = _exact_rows(values, norms, redo, k)
+        src, dst = np.concatenate([src, redo_src]), np.concatenate([dst, redo_dst])
+    weights = (np.ones(len(src)) if binarize
+               else np.clip(_cosines(values, norms, src, dst), 0.0, None))
+    return SparseGraph.from_edges(n, src, dst, weights)
 
 
 def fuse_graphs(graph_a, graph_b, weight_a):

@@ -5,6 +5,7 @@ import json
 import os
 import shutil
 import struct
+import sys
 import tracemalloc
 import warnings
 
@@ -243,6 +244,39 @@ def test_build_graph_config_may_hold_training_keys(pipeline, tmp_path):
     assert _run(["build-graph", "--prepared", str(prep), "--out", str(out),
                  "--config", str(ini)]) == 0
     assert _digest(out) == _digest(graph)
+
+
+def test_build_graph_warns_only_about_graph_settings(pipeline, tmp_path):
+    _, _, prep, _, _ = pipeline
+    ini = tmp_path / "run.ini"
+    ini.write_text("[train]\nlr = 0.1\nprune_k = 20\nmax_epochs = 5\n")
+    argv = ["build-graph", "--prepared", str(prep), "--out", str(tmp_path / "g.tmg"),
+            "--config", str(ini)]
+    for flags, expected in [([], []), (["--knn-k", "4"], ["knn_k=4 differs from the default 10"])]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, *flags]) == 0
+        assert [str(w.message) for w in caught if w.category is ConfigWarning] == expected
+
+
+def test_config_warning_is_one_key_value_line(pipeline, tmp_path, capsys, monkeypatch):
+    _, _, prep, _, _ = pipeline
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        # What Python does with a warning that no recorder takes.
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    monkeypatch.setattr(warnings, "showwarning", show)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", ConfigWarning)
+        assert main(["build-graph", "--prepared", str(prep), "--out", str(tmp_path / "g.tmg"),
+                     "--knn-k", "4"]) == 0
+    assert capsys.readouterr().err.splitlines()[0] == (
+        "event=warning command=build-graph message=knn_k=4 differs from the default 10"
+    )
+    # Outside the command, warnings keep Python's format.
+    assert warnings.formatwarning("x", ConfigWarning, "f.py", 1, "").startswith("f.py:1:")
 
 
 def test_train_writes_manifest_once(pipeline, tmp_path, monkeypatch):

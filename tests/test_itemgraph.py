@@ -227,6 +227,92 @@ def test_knn_peak_memory_is_the_copy_and_one_gram_block():
     assert peak < bound, f"peak {peak / 1e6:.1f} MB over {bound / 1e6:.1f} MB"
 
 
+def test_knn_float32_copy_peak_memory():
+    # The float32 copy of the features, one float64 block of normalised
+    # rows and one float32 block of cosines; no float64 copy of the
+    # catalogue and no float64 Gram block.
+    feats = np.random.default_rng(35).standard_normal((3000, 256)).astype(np.float32)
+    block = itemgraph._GRAM_ROWS
+    bound = 1.25 * (feats.size * 4 + block * feats.shape[1] * 8 + block ** 2 * 4)
+    tracemalloc.start()
+    try:
+        build_knn_graph(feats, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB over {bound / 1e6:.1f} MB"
+
+
+def _near_tie_features(k):
+    """Rows over two Gram blocks with tight clusters, whose cosines differ
+    by less than the float32 screen error, exact and scaled duplicates
+    and all-zero rows. Returns (features, rows of the large clusters,
+    the all-zero rows)."""
+    rng = np.random.default_rng(36)
+    n, d = itemgraph._GRAM_ROWS + 300, 16
+    feats = rng.standard_normal((n, d))
+    spread = rng.permutation(n)  # each cluster's rows fall in both blocks
+    # k + 2 near-equal columns contest a row's last places within its 2k
+    # proposals; 2k + 2 of them crowd out of the proposals.
+    sizes = [k + 3] * 6 + [2 * k + 3] * 2
+    clusters = [spread[20 * c:20 * c + size] for c, size in enumerate(sizes)]
+    for rows in clusters:
+        feats[rows] = rng.standard_normal(d) + 1e-4 * rng.standard_normal((len(rows), d))
+    first = clusters[0]
+    feats[first[1]] = feats[first[0]]
+    feats[first[2]] = 2.0 * feats[first[0]]
+    zero = spread[200:204]
+    feats[zero] = 0.0
+    return feats, np.concatenate(clusters[-2:]), zero
+
+
+@pytest.mark.parametrize("binarize", [True, False])
+def test_knn_decides_near_ties_in_float64(monkeypatch, binarize):
+    k = 5
+    feats, crowded, zero = _near_tie_features(k)
+    delta = itemgraph._screen_error(feats.shape[1])
+    band_pairs, redone = [], []
+    cosines, exact_rows = itemgraph._cosines, itemgraph._exact_rows
+
+    def spy_cosines(values, norms, src, dst):
+        band_pairs.append(len(src))
+        return cosines(values, norms, src, dst)
+
+    def spy_exact_rows(values, norms, rows, k):
+        redone.extend(rows.tolist())
+        return exact_rows(values, norms, rows, k)
+
+    monkeypatch.setattr(itemgraph, "_cosines", spy_cosines)
+    monkeypatch.setattr(itemgraph, "_exact_rows", spy_exact_rows)
+    g = build_knn_graph(feats, k, binarize=binarize)
+    assert band_pairs[0] > 0  # the first call rescores the contested bands
+    assert set(crowded) | set(zero) <= set(redone)
+
+    norms = np.sqrt((feats * feats).sum(axis=1))
+    unit = np.divide(feats, norms[:, None], out=np.zeros_like(feats), where=norms[:, None] > 0)
+    unit32 = unit.astype(np.float32)
+    near_ties = float32_misses = 0
+    for m in range(len(feats)):
+        # Each float64 cosine is an elementwise product summed along the
+        # row, so equal rows score equal bits.
+        sims = (unit * unit[m]).sum(axis=1)
+        sims32 = (unit32 @ unit32[m]).astype(np.float64)
+        sims[m] = sims32[m] = -np.inf
+        order = np.argsort(-sims, kind="stable")
+        expected = np.sort(order[:k])
+        near_ties += sims[order[k - 1]] - sims[order[k]] < delta
+        float32_misses += not np.array_equal(
+            np.sort(np.argsort(-sims32, kind="stable")[:k]), expected)
+        cols, w = g.row(m)
+        assert cols.tolist() == expected.tolist(), f"row {m}"
+        if binarize:
+            assert np.all(w == 1.0)
+        else:
+            assert np.abs(w - np.clip(sims[cols], 0.0, None)).max() <= 1e-12
+    # The inputs do what they are for: float32 alone picks other columns.
+    assert near_ties > 20 and float32_misses > 20
+
+
 def test_fuse_graphs_weighted_sum_and_union_pattern():
     a = SparseGraph.from_rows(3, [([1], [1.0]), ([2], [1.0]), ([], [])])
     b = SparseGraph.from_rows(3, [([1, 2], [1.0, 1.0]), ([], []), ([0], [1.0])])
