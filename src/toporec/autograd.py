@@ -19,7 +19,6 @@ no arithmetic operators: every op is a module-level function.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "Tensor",
@@ -264,6 +263,8 @@ def gather_rows(a, idx):
     av = a.values
 
     def back(g):
+        import scipy.sparse as sp  # deferred; see the package docstring
+
         # The gather matrix's transpose is CSC: it adds g's rows into their
         # sources (negative ids wrapped) in index order, as np.add.at does.
         gather = sp.csr_matrix(

@@ -113,8 +113,10 @@ def cmd_synth(args):
 def cmd_prepare(args):
     table = load_interactions(_require(args.interactions, "interaction file", "synth"))
     if not table.has_roles():
-        ratios = tuple(float(r) for r in args.ratios.split(","))
-        table = make_split(table, ratios=ratios, seed=args.seed)
+        try:
+            table = make_split(table, ratios=args.ratios.split(","), seed=args.seed)
+        except ValueError as exc:
+            raise ValueError(f"--ratios {args.ratios}: {exc}") from None
     fv = load_features(
         _require(args.features_visual, "visual feature file", "synth"),
         "visual",

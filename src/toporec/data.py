@@ -11,6 +11,7 @@ through :func:`_rows`, and every file the package writes goes through
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import warnings
@@ -190,6 +191,8 @@ def make_split(table, ratios=(0.8, 0.1, 0.1), seed=0):
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3:
         raise ValueError(f"need exactly 3 split ratios, got {len(ratios)}")
+    if not all(math.isfinite(r) and r >= 0 for r in ratios):
+        raise ValueError(f"split ratios must be finite and non-negative, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"split ratios must sum to 1, got {ratios}")
     if table.has_roles():

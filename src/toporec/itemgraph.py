@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data import write_file
 
@@ -167,7 +166,7 @@ def top_k_entries(scores, k):
         above = crowded > crowded_kth
         tied = crowded == crowded_kth
         room = k - np.count_nonzero(above, axis=1)
-        keep[over] = above | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
+        keep[over] = above | (tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= room[:, None]))
     # One flat pass finds the kept entries several times faster than a
     # two-dimensional np.nonzero.
     flat = np.flatnonzero(keep)
@@ -473,6 +472,8 @@ def tps_prune(graph, k, log_base=None):
     the higher edge weight, then toward the lower column index. Kept
     edges retain their weights. Returns (pruned graph, report).
     """
+    import scipy.sparse as sp  # deferred; see the package docstring
+
     if k < 1:
         raise ValueError(f"prune k must be >= 1, got {k}")
     n = graph.num_nodes

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data import ROLE_TEST, ROLE_TRAIN, ROLE_VAL, write_file
 from .itemgraph import top_k_entries
@@ -71,6 +70,8 @@ def evaluate(z_users, z_items, table, split, ns=(10, 20), block_size=512):
     excluded from the average. Every value equals what ranked_list,
     recall_at and ndcg_at give user by user, summed in user order.
     """
+    import scipy.sparse as sp  # deferred; see the package docstring
+
     role = {"val": ROLE_VAL, "test": ROLE_TEST}.get(split)
     if role is None:
         raise ValueError(f"split must be 'val' or 'test', got {split!r}")

@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import autograd as ag
 from .autograd import Tensor
@@ -156,6 +155,8 @@ def build_propagation_matrix(table, dtype=np.float32):
     Entry (u, i) is 1/sqrt(deg_u * deg_i); zero-degree rows and columns
     stay zero, so isolated nodes propagate nothing.
     """
+    import scipy.sparse as sp  # deferred; see the package docstring
+
     edges = table.role_edges(ROLE_TRAIN)
     u = edges[:, 0]
     i = edges[:, 1]
@@ -234,6 +235,8 @@ def eligible_anchor_items(graph):
 
 def positive_subgraph(graph):
     """The edges of `graph` with positive weight, as a float64 scipy CSR."""
+    import scipy.sparse as sp  # deferred; see the package docstring
+
     n = graph.num_nodes
     # A copy, since eliminate_zeros compacts the arrays it holds in place.
     mat = sp.csr_matrix((graph.weights, graph.indices, graph.indptr), shape=(n, n), copy=True)

@@ -47,6 +47,11 @@ def make_clustered_dataset(
     comes from the user's preferred cluster, the rest is uniform. The
     returned table carries no split roles yet.
     """
+    for name, count in (
+        ("num_users", num_users), ("num_items", num_items), ("num_clusters", num_clusters)
+    ):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     if num_items % num_clusters:
         raise ValueError(
             f"num_items ({num_items}) must divide evenly into {num_clusters} clusters"

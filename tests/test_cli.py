@@ -5,6 +5,7 @@ import json
 import os
 import shutil
 import struct
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -12,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+import toporec
 from toporec.autograd import Tensor
 from toporec.cli import main
 from toporec.config import ConfigWarning
@@ -119,6 +121,37 @@ def test_prepare_missing_input_fails(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "toporec synth" in err
+
+
+@pytest.mark.parametrize("ratios", ["0.8,-0.1,0.3", "nan,0.5,0.5", "inf,0.5,0.5", "a,b,c"],
+                         ids=["negative", "nan", "inf", "not-a-number"])
+def test_prepare_rejects_bad_ratios(pipeline, tmp_path, capsys, ratios):
+    _, raw, _, _, _ = pipeline
+    out = tmp_path / "prep"
+    assert _run([
+        "prepare",
+        "--interactions", str(raw / "interactions.txt"),
+        "--features-visual", str(raw / "features_visual.tmf"),
+        "--features-textual", str(raw / "features_textual.tmf"),
+        "--out", str(out),
+        "--ratios", ratios,
+    ]) == 1
+    assert f"error: --ratios {ratios}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--clusters", "0", "num_clusters"),
+    ("--clusters", "-1", "num_clusters"),
+    ("--items", "0", "num_items"),
+    ("--users", "0", "num_users"),
+], ids=["no-clusters", "negative-clusters", "no-items", "no-users"])
+def test_synth_rejects_counts_below_one(tmp_path, capsys, flag, value, name):
+    out = tmp_path / "raw"
+    assert _run(["synth", "--out", str(out), "--users", "20", "--items", "10",
+                 "--clusters", "2", flag, value]) == 1
+    assert f"error: {name} must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synth_features_follow_prepared_item_ids(tmp_path):
@@ -851,3 +884,39 @@ def test_train_rejects_graph_of_another_node_count(pipeline, tmp_path, capsys, n
     err = capsys.readouterr().err
     assert f"error: item graph {graph} has {nodes} nodes, but the interactions have 20 items" in err
     assert not run.exists()
+
+
+# Run in a fresh interpreter: every step must leave scipy unloaded.
+_COLD_START = """
+import json, sys
+import toporec.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = {"import": scipy_modules()}
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+    loaded[argv[0]] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_graph_building_commands_start_without_scipy(tmp_path):
+    raw, prep = tmp_path / "raw", tmp_path / "prep"
+    steps = [
+        ["synth", "--out", str(raw), "--users", "60", "--items", "30", "--clusters", "3"],
+        ["prepare", "--interactions", str(raw / "interactions.txt"),
+         "--features-visual", str(raw / "features_visual.tmf"),
+         "--features-textual", str(raw / "features_textual.tmf"), "--out", str(prep)],
+        ["build-graph", "--prepared", str(prep), "--out", str(tmp_path / "g.tmg")],
+        ["corrupt", "--graph", str(tmp_path / "g.tmg"), "--out", str(tmp_path / "c.tmg"),
+         "--eps", "0.2"],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toporec.__file__)))
+    done = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(steps)],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    # `prepare` prints its stats line first.
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded == {"import": [], "synth": [], "prepare": [], "build-graph": [], "corrupt": []}

@@ -157,6 +157,9 @@ def test_make_split_rejects_bad_input():
         make_split(table, ratios=(0.8, 0.1, 0.2))
     with pytest.raises(ValueError, match="exactly 3"):
         make_split(table, ratios=(0.9, 0.1))
+    for ratios in [(0.8, -0.1, 0.3), (float("nan"), 0.5, 0.5), (float("inf"), 0.5, 0.5)]:
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            make_split(table, ratios=ratios)
     split = make_split(table)
     with pytest.raises(ValueError, match="already"):
         make_split(split)

@@ -243,6 +243,23 @@ def test_knn_float32_copy_peak_memory():
     assert peak < bound, f"peak {peak / 1e6:.1f} MB over {bound / 1e6:.1f} MB"
 
 
+def test_knn_peak_memory_with_all_tied_rows():
+    # An all-zero row's screen scores are all tied at 0, so every third
+    # row goes through top_k_entries' tie cut; its tie counts stay within
+    # the bound of test_knn_float32_copy_peak_memory.
+    feats = np.random.default_rng(35).standard_normal((3000, 256)).astype(np.float32)
+    feats[::3] = 0.0
+    block = itemgraph._GRAM_ROWS
+    bound = 1.25 * (feats.size * 4 + block * feats.shape[1] * 8 + block ** 2 * 4)
+    tracemalloc.start()
+    try:
+        build_knn_graph(feats, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB over {bound / 1e6:.1f} MB"
+
+
 def _near_tie_features(k):
     """Rows over two Gram blocks with tight clusters, whose cosines differ
     by less than the float32 screen error, exact and scaled duplicates
