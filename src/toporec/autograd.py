@@ -43,6 +43,8 @@ __all__ = [
     "finite_diff_check",
 ]
 
+NORM_EPS = 1e-5  # added to each row's variance in encoder_layer's layer norm
+
 
 class Tensor:
     """A 2-D array plus the bookkeeping for reverse-mode autodiff."""
@@ -285,14 +287,14 @@ def concat_cols(a, b):
     ))
 
 
-def encoder_layer(x, w, b, gain, bias, eps=1e-5):
+def encoder_layer(x, w, b, gain, bias):
     """Layer norm of tanh(x @ w + b), then an affine map, as one node.
 
     b, gain and bias are (1, cols). Each row of tanh(x @ w + b) is
-    centred and scaled to unit variance; a constant row normalizes to
-    zeros, so the output there is just the bias. The backward gives the
-    gradients of all five inputs in closed form and skips x's product
-    when x takes no gradient.
+    centred and divided by sqrt(its variance + NORM_EPS); a constant
+    row normalizes to zeros, so the output there is just the bias. The
+    backward gives the gradients of all five inputs in closed form and
+    skips x's product when x takes no gradient.
     """
     if x.cols != w.rows:
         raise ValueError(f"encoder_layer: inner dims differ, {x.shape} @ {w.shape}")
@@ -302,7 +304,7 @@ def encoder_layer(x, w, b, gain, bias, eps=1e-5):
     t += b.values
     np.tanh(t, out=t)
     xhat = t - t.mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat)[:, None] / d + eps)
+    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat)[:, None] / d + NORM_EPS)
     xhat *= inv
     out = xhat * gv
     out += bias.values

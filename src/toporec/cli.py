@@ -112,11 +112,16 @@ def cmd_synth(args):
 
 def cmd_prepare(args):
     table = load_interactions(_require(args.interactions, "interaction file", "synth"))
-    if not table.has_roles():
+    if table.has_roles():
+        if args.ratios is not None:
+            raise ValueError(f"--ratios {args.ratios}: {args.interactions} already has a split "
+                             "column; drop the flag or the column")
+    else:
+        ratios = "0.8,0.1,0.1" if args.ratios is None else args.ratios
         try:
-            table = make_split(table, ratios=args.ratios.split(","), seed=args.seed)
+            table = make_split(table, ratios=ratios.split(","), seed=args.seed)
         except ValueError as exc:
-            raise ValueError(f"--ratios {args.ratios}: {exc}") from None
+            raise ValueError(f"--ratios {ratios}: {exc}") from None
     fv = load_features(
         _require(args.features_visual, "visual feature file", "synth"),
         "visual",
@@ -268,7 +273,8 @@ def build_parser():
     p.add_argument("--features-textual", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--ratios", default="0.8,0.1,0.1")
+    p.add_argument("--ratios", help="train,val,test shares for a file with no split column "
+                   "(default 0.8,0.1,0.1)")
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("build-graph", help="build (and fuse) modality kNN graphs")

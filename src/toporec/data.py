@@ -147,13 +147,19 @@ def load_interactions(path):
     """Parse an interaction file into an InteractionTable.
 
     Duplicate (user, item) rows within the same split are dropped with a
-    warning. Raises on malformed rows (with the line number) and on
-    files with no usable rows.
+    warning. Raises on malformed rows (with the line number), on a line
+    whose field count differs from the first line's (every line carries
+    a split role or none does) and on files with no usable rows.
     """
     user_ids: dict = {}
     item_ids: dict = {}
     rows = []
     for lineno, parts in _rows(path, (2, 3), "user item [split]"):
+        if not rows:
+            width = len(parts)
+        elif len(parts) != width:
+            raise ValueError(f"{path}:{lineno}: {len(parts)} fields, but the first line has "
+                             f"{width}; give every line a split role or none")
         role = _ROLE_BY_NAME.get(parts[2]) if len(parts) == 3 else ROLE_UNSET
         if role is None:
             raise ValueError(
@@ -305,7 +311,7 @@ def read_end(fh, path):
     """Check that a binary file ends at the current position; a ValueError
     naming the file and the byte offset when more bytes follow."""
     end = fh.tell()
-    extra = len(fh.read())
+    extra = os.fstat(fh.fileno()).st_size - end
     if extra:
         raise ValueError(f"{path}: {extra} bytes follow the last payload, from byte {end}")
 

@@ -38,6 +38,7 @@ __all__ = [
     "positive_subgraph",
     "build_na_batch",
     "na_batch_from_items",
+    "slice_na_batch",
 ]
 
 @dataclass
@@ -263,15 +264,16 @@ def build_na_batch(positive, rng, num_anchors, dtype=np.float32):
     # One draw per anchor, in anchor order: the same numbers and generator
     # state as one rng.integers(0, count) call per anchor.
     partners = positive.indices[positive.indptr[anchors] + rng.integers(0, counts[anchors])]
-    batch_ids = np.unique(np.concatenate([anchors, partners]))
-    anchor_rows = np.searchsorted(batch_ids, anchors)
-    weights = positive[anchors][:, batch_ids].astype(dtype).toarray()
-    return batch_ids, anchor_rows, weights
+    return slice_na_batch(positive, anchors, np.unique(np.concatenate([anchors, partners])), dtype)
 
 
 def na_batch_from_items(graph, item_ids, dtype=np.float32):
     """Alignment batch over given items, every item serving as anchor."""
     batch_ids = np.unique(np.asarray(item_ids, dtype=np.int64))
-    anchor_rows = np.arange(len(batch_ids))
-    weights = positive_subgraph(graph)[batch_ids][:, batch_ids].astype(dtype).toarray()
-    return batch_ids, anchor_rows, weights
+    return slice_na_batch(positive_subgraph(graph), batch_ids, batch_ids, dtype)
+
+
+def slice_na_batch(positive, anchors, batch_ids, dtype=np.float32):
+    """Alignment batch of sorted `anchors` within sorted unique `batch_ids`, from CSR `positive`."""
+    weights = positive[anchors][:, batch_ids].astype(dtype).toarray()
+    return batch_ids, np.searchsorted(batch_ids, anchors), weights

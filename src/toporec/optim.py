@@ -45,12 +45,6 @@ class ParamStore:
     def __getitem__(self, name):
         return self._params[name]
 
-    def __len__(self):
-        return len(self._params)
-
-    def names(self):
-        return list(self._params)
-
     def items(self):
         return self._params.items()
 

@@ -28,7 +28,7 @@ from .config import TrainConfig, config_from_dict, validate_config
 from .data import ROLE_TEST, ROLE_TRAIN, ROLE_VAL, sample_bpr_triples, write_file
 from .itemgraph import build_knn_graph, corrupt_graph, fuse_graphs, random_prune, tps_prune
 from .metrics import evaluate
-# eligible_anchor_items is unused here; bench/spans.py wraps it by name.
+# eligible_anchor_items and na_batch_from_items: unused here, wrapped by name in bench/spans.py.
 from .model import (  # noqa: F401
     ModelConfig,
     MultimodalRecommender,
@@ -40,6 +40,7 @@ from .model import (  # noqa: F401
     na_batch_from_items,
     neighborhood_alignment_loss,
     positive_subgraph,
+    slice_na_batch,
 )
 from .optim import adam_step, save_checkpoint
 
@@ -170,6 +171,11 @@ class RunManifest:
         # save writes each NaN as null.
         if values.get("best_val_r20", math.nan) is None:
             values["best_val_r20"] = math.nan
+        for f in fields(cls):
+            kinds = _JSON_TYPES.get(f.type)
+            if kinds and f.name in values and type(values[f.name]) not in kinds:
+                raise ValueError(f"{path}: not a run manifest ({f.name} is "
+                                 f"{type(values[f.name]).__name__}, expected {f.type})")
         try:
             values["epochs"] = [{k: math.nan if v is None else v for k, v in row.items()}
                                 for row in values.get("epochs", [])]
@@ -178,6 +184,12 @@ class RunManifest:
             raise ValueError(f"{path}: not a run manifest ({exc})") from None
         run.checkpoint_path = os.path.join(run_dir, "checkpoint.tmc")
         return run
+
+
+# RunManifest field type -> the JSON value types it takes: an int is a
+# float too, and a bool is neither.
+_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "dict": (dict,),
+               "list": (list,)}
 
 
 def _nulls(value):
@@ -329,8 +341,8 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
                 if cfg.na_anchor_mode == "independent":
                     na = build_na_batch(positive, streams["anchors"], cfg.batch_size, dtype)
                 else:
-                    pool = np.concatenate([batch.pos_items, batch.neg_items])
-                    na = na_batch_from_items(na_graph, pool, dtype)
+                    ids = np.unique(np.concatenate([batch.pos_items, batch.neg_items]))
+                    na = slice_na_batch(positive, ids, ids, dtype)
                 na_ids, anchor_rows, na_weights = na
                 tags = sorted(branches) if cfg.na_on_modalities else []
                 for h in [h_items] + [branches[tag] for tag in tags]:

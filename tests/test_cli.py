@@ -140,6 +140,55 @@ def test_prepare_rejects_bad_ratios(pipeline, tmp_path, capsys, ratios):
     assert not out.exists()
 
 
+def test_prepare_rejects_a_file_that_mixes_split_and_plain_lines(pipeline, tmp_path, capsys):
+    _, raw, _, _, _ = pipeline
+    lines = (raw / "interactions.txt").read_text().splitlines()
+    user, item = lines[0].split()
+    mixed = tmp_path / "mixed.txt"
+    mixed.write_text("".join(f"{line}\n" for line in lines + [f"{user} {item} test"]))
+    out = tmp_path / "prep"
+    assert _run([
+        "prepare",
+        "--interactions", str(mixed),
+        "--features-visual", str(raw / "features_visual.tmf"),
+        "--features-textual", str(raw / "features_textual.tmf"),
+        "--out", str(out),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {mixed}:{len(lines) + 1}: 3 fields, but the first line has 2" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ratios", ["0.8,0.1,0.1", "nan,a"], ids=["valid", "invalid"])
+def test_prepare_refuses_ratios_beside_a_split_column(pipeline, tmp_path, capsys, ratios):
+    _, raw, prep, _, _ = pipeline
+    argv = [
+        "prepare",
+        "--interactions", str(prep / "split.txt"),
+        "--features-visual", str(prep / "features_visual.tmf"),
+        "--features-textual", str(prep / "features_textual.tmf"),
+    ]
+    out = tmp_path / "prep"
+    assert _run(argv + ["--out", str(out), "--ratios", ratios]) == 1
+    err = capsys.readouterr().err
+    assert f"error: --ratios {ratios}: {prep / 'split.txt'} already has a split column" in err
+    assert not out.exists()
+    # Without the flag the file's own split is kept.
+    assert _run(argv + ["--out", str(out)]) == 0
+    assert _digest(out / "split.txt") == _digest(prep / "split.txt")
+    # On a file with no split column, the default split is 0.8, 0.1, 0.1.
+    explicit = tmp_path / "explicit"
+    assert _run([
+        "prepare",
+        "--interactions", str(raw / "interactions.txt"),
+        "--features-visual", str(raw / "features_visual.tmf"),
+        "--features-textual", str(raw / "features_textual.tmf"),
+        "--out", str(explicit),
+        "--ratios", "0.8,0.1,0.1",
+    ]) == 0
+    assert _digest(explicit / "split.txt") == _digest(prep / "split.txt")
+
+
 @pytest.mark.parametrize("flag, value, name", [
     ("--clusters", "0", "num_clusters"),
     ("--clusters", "-1", "num_clusters"),
@@ -458,6 +507,30 @@ def test_train_evaluate_ablate(pipeline, capsys):
     assert sorted(root.rglob("*.tmp")) == []
 
 
+def test_train_with_batch_anchors_on_every_modality(pipeline, tmp_path, capsys):
+    _, _, prep, _, pruned = pipeline
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for run in runs:
+        assert _run(["train", "--prepared", str(prep), "--graph", str(pruned), "--out", str(run),
+                     "--max-epochs", "3", "--embed-dim", "8", "--hidden-dim", "8",
+                     "--batch-size", "64", "--na-anchor-mode", "bpr_batch",
+                     "--na-on-modalities", "true"]) == 0
+    manifest = json.loads((runs[0] / "manifest.json").read_text())
+    assert manifest["config"]["na_anchor_mode"] == "bpr_batch"
+    assert manifest["config"]["na_on_modalities"] is True
+    assert len(manifest["epochs"]) == 3
+    assert all(row["loss_na"] > 0 for row in manifest["epochs"])
+    for name in ("epochs.csv", "checkpoint.tmc"):
+        assert _digest(runs[0] / name) == _digest(runs[1] / name)
+
+    capsys.readouterr()
+    assert _run(["evaluate", "--run", str(runs[0]), "--out", str(tmp_path / "m")]) == 0
+    scored = json.loads((tmp_path / "m.json").read_text())
+    for key, value in manifest["test_metrics"].items():
+        if "@" in key:
+            assert scored[key] == value, key
+
+
 def test_commands_create_output_directories(pipeline, tmp_path):
     _, _, prep, graph, _ = pipeline
     fused = tmp_path / "new" / "fused.tmg"
@@ -610,6 +683,42 @@ def test_evaluate_rejects_manifest_without_a_field(trained, tmp_path, capsys):
     assert f"error: {run / 'manifest.json'}: not a run manifest (" in err
     assert "visual_dim" in err
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("key, value, got, expected", [
+    ("prepared_dir", 5, "int", "str"),
+    ("num_items", "20", "str", "int"),
+    ("visual_dim", True, "bool", "int"),
+    ("best_epoch", 0.5, "float", "int"),
+    ("best_val_r20", "0.3", "str", "float"),
+    ("epochs", {}, "dict", "list"),
+    ("test_metrics", [], "list", "dict"),
+    ("feature_hashes", "x", "str", "dict"),
+], ids=["prepared_dir", "num_items", "visual_dim", "best_epoch", "best_val_r20", "epochs",
+        "test_metrics", "feature_hashes"])
+def test_evaluate_rejects_mistyped_manifest_field(trained, tmp_path, capsys, key, value, got,
+                                                  expected):
+    run = tmp_path / "mistyped"
+    shutil.copytree(trained, run)
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest[key] = value
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert _run(["evaluate", "--run", str(run), "--out", str(tmp_path / "m")]) == 1
+    err = capsys.readouterr().err
+    assert (f"error: {run / 'manifest.json'}: not a run manifest "
+            f"({key} is {got}, expected {expected})") in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_evaluate_takes_an_integer_float_field(trained, tmp_path):
+    run = tmp_path / "int_best"
+    shutil.copytree(trained, run)
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["best_val_r20"] = 0
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    assert _run(["evaluate", "--run", str(run), "--out", str(tmp_path / "m")]) == 0
 
 
 def test_evaluate_reports_cut_checkpoint(trained, tmp_path, capsys):

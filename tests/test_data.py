@@ -1,5 +1,6 @@
 """Interaction parsing, splitting, negative sampling, and feature IO."""
 
+import io
 import os
 import re
 import stat
@@ -22,6 +23,7 @@ from toporec.data import (
     load_interactions,
     load_prepared,
     make_split,
+    read_end,
     sample_bpr_triples,
     save_features,
     save_prepared,
@@ -90,13 +92,14 @@ def test_load_interactions_errors(tmp_path):
 
 
 def test_load_interactions_hand_made_file(tmp_path):
-    # CRLF endings, tabs, blank and whitespace-only lines, 2- and 3-field
-    # rows, and duplicates within one split (lines 6, 8, 11) beside the
-    # same pair in other splits, which are kept.
+    # CRLF endings, tabs, blank and whitespace-only lines, and duplicates
+    # within one split (lines 6, 8, 11) beside the same pair in other
+    # splits, which are kept.
     path = tmp_path / "hand.txt"
     path.write_bytes(
-        b"u1 i1 train\r\nu1\ti2\r\n\r\n  \t \r\nu2 i1 val\r\nu1 i1 train\r\n"
-        b"u1 i1 test\r\nu1 i2\r\nu3 i3 test\r\n\r\nu2 i1 val\r\nu2\ti1\ttrain\r\nu1 i1\r\n"
+        b"u1 i1 train\r\nu1\ti2 val\r\n\r\n  \t \r\nu2 i1 val\r\nu1 i1 train\r\n"
+        b"u1 i1 test\r\nu1 i2 val\r\nu3 i3 test\r\n\r\nu2 i1 val\r\nu2\ti1\ttrain\r\n"
+        b"u1 i1 val\r\n"
     )
     with pytest.warns(UserWarning) as record:
         table = load_interactions(path)
@@ -106,12 +109,42 @@ def test_load_interactions_hand_made_file(tmp_path):
     assert table.edges.dtype == np.int64 and table.edges.flags.c_contiguous
     assert table.edges.tolist() == [[0, 0], [0, 1], [1, 0], [0, 0], [2, 2], [1, 0], [0, 0]]
     assert table.roles.dtype == np.int8
-    assert table.roles.tolist() == [ROLE_TRAIN, ROLE_UNSET, ROLE_VAL, ROLE_TEST, ROLE_TEST,
-                                    ROLE_TRAIN, ROLE_UNSET]
+    assert table.roles.tolist() == [ROLE_TRAIN, ROLE_VAL, ROLE_VAL, ROLE_TEST, ROLE_TEST,
+                                    ROLE_TRAIN, ROLE_VAL]
     path.write_bytes(path.read_bytes() + b"\r\nu4 i4 train extra\r\n")
     with pytest.raises(ValueError, match=re.escape(
             f"{path}:15: expected 'user item [split]', got 4 fields")):
         load_interactions(path)
+
+
+@pytest.mark.parametrize("text, lineno, got, first", [
+    ("u1 i1\nu1 i2\nu1 i2 test\n", 3, 3, 2),
+    ("\nu1 i1 train\n\nu1 i1\nu2 i1\n", 4, 2, 3),
+], ids=["role-after-none", "none-after-role"])
+def test_load_interactions_rejects_mixed_field_counts(tmp_path, text, lineno, got, first):
+    # A pair given with a role and without would load as two interactions,
+    # and a file that is partly split would be split again.
+    path = _write(tmp_path, "mixed.txt", text)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:{lineno}: {got} fields, but the first line has {first}")):
+        load_interactions(path)
+
+
+def test_read_end_counts_the_tail_without_reading_it(tmp_path):
+    path = tmp_path / "blob.bin"
+    path.write_bytes(b"HEAD" + bytes(1000))
+
+    class NoRead(io.BufferedReader):
+        def read(self, *args):
+            raise AssertionError("read_end read the tail")
+
+    with NoRead(io.FileIO(path)) as fh:
+        fh.seek(4)
+        with pytest.raises(ValueError) as info:
+            read_end(fh, path)
+        assert str(info.value) == f"{path}: 1000 bytes follow the last payload, from byte 4"
+        fh.seek(1004)
+        read_end(fh, path)
 
 
 def test_make_split_ratio_rules():

@@ -297,7 +297,7 @@ def test_fit_disables_alignment_on_weightless_graph():
 
 def test_fit_builds_one_positive_view_per_run(monkeypatch):
     data = _tiny_data()
-    cfg = _tiny_config(max_epochs=2, na_anchor_mode="independent")
+    cfg = _tiny_config(max_epochs=2)
     graph, _, _ = _quiet_graph(cfg, data)
     calls = []
 
@@ -308,9 +308,11 @@ def test_fit_builds_one_positive_view_per_run(monkeypatch):
     # Both names: model's own helpers call it through their module.
     monkeypatch.setattr(model_module, "positive_subgraph", counted)
     monkeypatch.setattr(trainer_module, "positive_subgraph", counted)
-    manifest = _quiet_fit(cfg, data, na_graph=graph)
-    assert len(calls) == 1 and calls[0] is graph
-    assert all(row["loss_na"] > 0.0 for row in manifest.epochs)
+    for mode in ("independent", "bpr_batch"):
+        calls.clear()
+        manifest = _quiet_fit(replace(cfg, na_anchor_mode=mode), data, na_graph=graph)
+        assert len(calls) == 1 and calls[0] is graph, mode
+        assert all(row["loss_na"] > 0.0 for row in manifest.epochs), mode
 
 
 def test_fit_reruns_are_bit_identical(tmp_path):
