@@ -26,18 +26,14 @@ __all__ = [
     "sub",
     "mul",
     "mul_const",
-    "scale",
-    "neg",
     "matmul",
     "tanh",
     "softplus",
     "tsum",
-    "tmean",
     "gather_rows",
     "concat_cols",
     "encoder_layer",
     "dropout",
-    "row_dot",
     "weighted_infonce",
     "spmm",
     "finite_diff_check",
@@ -209,14 +205,6 @@ def mul_const(a, c):
     return _from_op(a.values * c, (a,), lambda g: (_unbroadcast(g * c, a.shape),))
 
 
-def scale(a, s):
-    return mul_const(a, float(s))
-
-
-def neg(a):
-    return mul_const(a, -1.0)
-
-
 def matmul(a, b):
     if a.cols != b.rows:
         raise ValueError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
@@ -250,12 +238,6 @@ def tsum(a, axis=None):
     else:
         raise ValueError(f"tsum: axis must be None, 0, or 1, got {axis}")
     return _from_op(out, (a,), lambda g: (np.broadcast_to(g, av.shape),))
-
-
-def tmean(a, axis=None):
-    av = a.values
-    n = av.size if axis is None else av.shape[axis]
-    return scale(tsum(a, axis=axis), 1.0 / n)
 
 
 def gather_rows(a, idx):
@@ -341,11 +323,6 @@ def dropout(x, rate, rng, train_mode=True):
         return x
     mask = (rng.random(x.shape) >= rate).astype(x.values.dtype) / (1.0 - rate)
     return _from_op(x.values * mask, (x,), lambda g: (g * mask,))
-
-
-def row_dot(a, b):
-    """Row-wise inner products, shape (rows, 1)."""
-    return tsum(mul(a, b), axis=1)
 
 
 def weighted_infonce(x, anchor_rows, weights, temperature):

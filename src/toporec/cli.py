@@ -70,6 +70,14 @@ def _add_train_flags(parser, names=tuple(f.name for f in fields(TrainConfig))):
         parser.add_argument(flag, dest=name, default=None, metavar=name.upper())
 
 
+def _seed(text):
+    """A --seed value, held to TrainConfig's rule for `seed`."""
+    try:
+        return TrainConfig(seed=int(text)).seed
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _collect_flag_overrides(args):
     return {f.name: getattr(args, f.name) for f in fields(TrainConfig) if hasattr(args, f.name)}
 
@@ -242,13 +250,10 @@ def cmd_ablate(args):
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     rows = ablate(cfg, variants, table, fv, ft, out_dir=args.out)
     _log(event="ablate", variants=",".join(variants), out=args.out)
-    header = f"{'variant':<12} {'R@10':>8} {'R@20':>8} {'N@10':>8} {'N@20':>8}"
-    print(header)
+    cols = list(rows[0])[1:]
+    print(f"{'variant':<12}" + "".join(f" {c:>9}" for c in cols))
     for row in rows:
-        print(
-            f"{row['variant']:<12} {row['recall@10']:>8.4f} {row['recall@20']:>8.4f} "
-            f"{row['ndcg@10']:>8.4f} {row['ndcg@20']:>8.4f}"
-        )
+        print(f"{row['variant']:<12}" + "".join(f" {row[c]:>9.4f}" for c in cols))
     return 0
 
 
@@ -264,7 +269,7 @@ def build_parser():
     p.add_argument("--users", type=int, default=300)
     p.add_argument("--items", type=int, default=100)
     p.add_argument("--clusters", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("prepare", help="index, split, and validate a dataset")
@@ -272,7 +277,7 @@ def build_parser():
     p.add_argument("--features-visual", required=True)
     p.add_argument("--features-textual", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--ratios", help="train,val,test shares for a file with no split column "
                    "(default 0.8,0.1,0.1)")
     p.set_defaults(func=cmd_prepare)
@@ -287,7 +292,7 @@ def build_parser():
     p = sub.add_parser("prune", help="keep the top-K edges by topological similarity")
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=int, default=TrainConfig.prune_k)
     p.add_argument("--report", help="write per-node prune stats CSV here")
     p.set_defaults(func=cmd_prune)
 
@@ -295,7 +300,7 @@ def build_parser():
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_corrupt)
 
     p = sub.add_parser("train", help="train one model")

@@ -19,6 +19,7 @@ __all__ = [
     "ConfigWarning",
     "validate_config",
     "config_from_dict",
+    "value_fits",
     "load_config_file",
     "resolve_config",
 ]
@@ -139,7 +140,8 @@ _BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
                "false": False, "0": False, "no": False, "off": False}
 
 # Field type -> (what it takes, check of a value, parser of flag or file text).
-# `type(v) is int` turns bools away.
+# `type(v) is int` turns bools away. "dict" and "list" are types of run
+# manifest fields, which no flag or file sets.
 _KINDS = {
     "int": ("an integer", lambda v: type(v) is int, int),
     "float": ("a number", lambda v: type(v) is int or isinstance(v, float), float),
@@ -150,7 +152,16 @@ _KINDS = {
         lambda v: isinstance(v, (list, tuple)) and all(type(n) is int for n in v),
         lambda t: tuple(int(p) for p in t.replace(",", " ").split()),
     ),
+    "dict": ("an object", lambda v: isinstance(v, dict), None),
+    "list": ("a list", lambda v: isinstance(v, list), None),
 }
+
+
+def value_fits(kind, value):
+    """Whether `value` fits a field of declared type `kind`: an int counts
+    as a float, and a bool as neither. A type with no rule here takes any
+    value."""
+    return kind not in _KINDS or _KINDS[kind][1](value)
 
 
 def _parse(name, text):
@@ -176,9 +187,10 @@ def config_from_dict(values, source="", base=None):
     for name, value in values.items():
         if name not in _FIELD_TYPES:
             raise ValueError(f"{prefix}unknown config key {name!r}")
-        what, ok, _ = _KINDS[_FIELD_TYPES[name]]
-        if not ok(value):
-            raise ValueError(f"{prefix}config key {name!r}: expected {what}, got {value!r}")
+        kind = _FIELD_TYPES[name]
+        if not value_fits(kind, value):
+            raise ValueError(f"{prefix}config key {name!r}: expected {_KINDS[kind][0]}, "
+                             f"got {value!r}")
     try:
         return replace(base or TrainConfig(), **values)
     except ValueError as exc:

@@ -177,8 +177,8 @@ def bpr_loss(z_users, z_items, batch):
     z_u = ag.gather_rows(z_users, batch.users)
     z_p = ag.gather_rows(z_items, batch.pos_items)
     z_n = ag.gather_rows(z_items, batch.neg_items)
-    gap = ag.sub(ag.row_dot(z_u, z_p), ag.row_dot(z_u, z_n))
-    return ag.tmean(ag.softplus(ag.neg(gap)))
+    gap = ag.sub(ag.tsum(ag.mul(z_u, z_p), axis=1), ag.tsum(ag.mul(z_u, z_n), axis=1))
+    return ag.mul_const(ag.tsum(ag.softplus(ag.mul_const(gap, -1.0))), 1.0 / len(batch))
 
 
 def neighborhood_alignment_loss(reps, anchor_rows, anchor_weights, temperature=1.0):
@@ -225,7 +225,7 @@ def joint_loss(bpr, na, na_weight):
     loss: the optimizer step applies it as decoupled weight decay.
     """
     if na_weight != 0.0 and na is not None:
-        return ag.add(bpr, ag.scale(na, na_weight))
+        return ag.add(bpr, ag.mul_const(na, float(na_weight)))
     return bpr
 
 

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import autograd as ag
-from .config import TrainConfig, config_from_dict, validate_config
+from .config import TrainConfig, config_from_dict, validate_config, value_fits
 from .data import ROLE_TEST, ROLE_TRAIN, ROLE_VAL, sample_bpr_triples, write_file
 from .itemgraph import build_knn_graph, corrupt_graph, fuse_graphs, random_prune, tps_prune
 from .metrics import evaluate
@@ -139,11 +139,8 @@ class RunManifest:
     prepared_dir: str = ""
     graph_path: str = ""
 
-    def to_dict(self):
-        return asdict(self)
-
     def save(self, out_dir):
-        manifest = json.dumps(_nulls(self.to_dict()), indent=2, sort_keys=True, allow_nan=False)
+        manifest = json.dumps(_nulls(asdict(self)), indent=2, sort_keys=True, allow_nan=False)
         write_file(os.path.join(out_dir, "manifest.json"), manifest, "\n")
         cols = ("loss_bpr", "loss_na", "val_r20", "val_n20")
         write_file(
@@ -172,8 +169,7 @@ class RunManifest:
         if values.get("best_val_r20", math.nan) is None:
             values["best_val_r20"] = math.nan
         for f in fields(cls):
-            kinds = _JSON_TYPES.get(f.type)
-            if kinds and f.name in values and type(values[f.name]) not in kinds:
+            if f.name in values and not value_fits(f.type, values[f.name]):
                 raise ValueError(f"{path}: not a run manifest ({f.name} is "
                                  f"{type(values[f.name]).__name__}, expected {f.type})")
         try:
@@ -184,12 +180,6 @@ class RunManifest:
             raise ValueError(f"{path}: not a run manifest ({exc})") from None
         run.checkpoint_path = os.path.join(run_dir, "checkpoint.tmc")
         return run
-
-
-# RunManifest field type -> the JSON value types it takes: an int is a
-# float too, and a bool is neither.
-_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "dict": (dict,),
-               "list": (list,)}
 
 
 def _nulls(value):
@@ -269,6 +259,12 @@ def build_model(cfg, table, features):
     return model, arrays
 
 
+def _metric_keys(cfg):
+    """The metric names a run reports: recall and NDCG at each `eval_topn`
+    cutoff, each name once."""
+    return [f"{name}@{n}" for name in ("recall", "ndcg") for n in dict.fromkeys(cfg.eval_topn)]
+
+
 def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=None,
         prepared_dir="", graph_path=""):
     """Train one model; returns the RunManifest (with .model attached).
@@ -321,9 +317,7 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
     # A validation pass scores the reported cutoffs too, so the best
     # epoch's metrics and embeddings are kept rather than recomputed.
     val_cutoffs = tuple(cfg.eval_topn) + ((20,) if 20 not in cfg.eval_topn else ())
-    kept_keys = {"split", "num_users"} | {
-        f"{name}@{n}" for name in ("recall", "ndcg") for n in cfg.eval_topn
-    }
+    kept_keys = {"split", "num_users", *_metric_keys(cfg)}
 
     for epoch in range(cfg.max_epochs):
         bpr_total = 0.0
@@ -414,10 +408,17 @@ def run_variant(name, cfg, table, features_visual, features_textual,
 
 
 def ablate(cfg, variants, table, features_visual, features_textual, out_dir=None):
-    """Train the requested variants and tabulate their test metrics."""
-    for name in variants:
-        variant_config(cfg, name)  # an unknown name fails before any training
-    cols = ("recall@10", "recall@20", "ndcg@10", "ndcg@20")
+    """Train the requested variants and tabulate their test metrics: each
+    row is the variant's name, then recall@N for each N in `eval_topn`,
+    then ndcg@N for each."""
+    # A bad list fails before any training.
+    if not variants:
+        raise ValueError(f"no variant given; expected some of {tuple(VARIANTS)}")
+    for i, name in enumerate(variants):
+        variant_config(cfg, name)
+        if name in variants[:i]:
+            raise ValueError(f"variant {name!r} is listed twice")
+    cols = _metric_keys(cfg)
     rows = []
     for name in variants:
         run_dir = os.path.join(out_dir, name) if out_dir else None

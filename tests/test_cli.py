@@ -15,8 +15,8 @@ import pytest
 
 import toporec
 from toporec.autograd import Tensor
-from toporec.cli import main
-from toporec.config import ConfigWarning
+from toporec.cli import build_parser, main
+from toporec.config import ConfigWarning, TrainConfig
 from toporec.data import FeatureMatrix, load_prepared, save_features
 from toporec.itemgraph import load_graph
 from toporec.synth import make_clustered_dataset
@@ -203,6 +203,24 @@ def test_synth_rejects_counts_below_one(tmp_path, capsys, flag, value, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "prepare", "corrupt"])
+def test_seed_flags_take_the_config_rule(pipeline, tmp_path, capsys, command):
+    _, raw, _, graph, _ = pipeline
+    out = tmp_path / "out"
+    argv = {
+        "synth": ["synth", "--out", str(out)],
+        "prepare": ["prepare", "--interactions", str(raw / "interactions.txt"),
+                    "--features-visual", str(raw / "features_visual.tmf"),
+                    "--features-textual", str(raw / "features_textual.tmf"), "--out", str(out)],
+        "corrupt": ["corrupt", "--graph", str(graph), "--out", str(out), "--eps", "0.1"],
+    }[command]
+    with pytest.raises(SystemExit) as exit_info:
+        _run([*argv, "--seed", "-1"])
+    assert exit_info.value.code == 2
+    assert "argument --seed: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_features_follow_prepared_item_ids(tmp_path):
     raw, prep = tmp_path / "raw", tmp_path / "prep"
     assert _run(["synth", "--out", str(raw), "--users", "10", "--items", "40",
@@ -239,6 +257,11 @@ def test_build_graph_modalities_differ(pipeline, tmp_path, capsys):
         _run(["build-graph", "--prepared", str(prep), "--out", str(solo_path),
               "--modality", "visual"])
     assert "--modality" in capsys.readouterr().err
+
+
+def test_prune_k_defaults_to_the_config_default():
+    args = build_parser().parse_args(["prune", "--graph", "g", "--out", "o"])
+    assert args.k == TrainConfig().prune_k
 
 
 def test_prune_artifacts(pipeline):
@@ -780,6 +803,39 @@ def test_ablate_rejects_unknown_variant(pipeline, capsys):
                  "--variants", "full,bogus"])
     assert code == 1
     assert "unknown variant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variants, message", [
+    (",", "no variant given"),
+    ("full,full", "variant 'full' is listed twice"),
+], ids=["empty", "repeated"])
+def test_ablate_rejects_an_empty_or_repeated_variant_list(pipeline, tmp_path, capsys, variants,
+                                                          message):
+    _, _, prep, _, _ = pipeline
+    out = tmp_path / "abl"
+    assert _run(["ablate", "--prepared", str(prep), "--out", str(out),
+                 "--variants", variants]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cutoffs", ["5", "5,5"], ids=["one", "repeated"])
+def test_ablate_columns_follow_eval_topn(pipeline, tmp_path, capsys, cutoffs):
+    _, _, prep, _, _ = pipeline
+    out = tmp_path / "abl"
+    assert _run(["ablate", "--prepared", str(prep), "--out", str(out), "--variants", "no_na",
+                 "--max-epochs", "1", "--embed-dim", "8", "--hidden-dim", "8",
+                 "--batch-size", "64", "--eval-topn", cutoffs]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split() == ["variant", "recall@5", "ndcg@5"]
+    lines = (out / "ablation.csv").read_text().splitlines()
+    assert lines[0] == "variant,recall@5,ndcg@5"
+    assert lines[1].split(",")[0] == row.split()[0] == "no_na"
+    test_metrics = json.loads((out / "no_na" / "manifest.json").read_text())["test_metrics"]
+    for key, shown, written in zip(("recall@5", "ndcg@5"), row.split()[1:],
+                                   lines[1].split(",")[1:]):
+        assert np.isfinite(float(written)) and float(written) == test_metrics[key]
+        assert shown == f"{float(written):.4f}"
 
 
 def test_config_file_and_flags_layer(pipeline, tmp_path, capsys):

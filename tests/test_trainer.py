@@ -12,7 +12,7 @@ import pytest
 import toporec.model as model_module
 import toporec.trainer as trainer_module
 from toporec.cli import GRAPH_FIELDS
-from toporec.config import ConfigWarning, TrainConfig
+from toporec.config import ConfigWarning, TrainConfig, config_from_dict
 from toporec.data import ROLE_TRAIN, ROLE_VAL, InteractionTable, make_split
 from toporec.itemgraph import SparseGraph, graphs_equal
 from toporec.metrics import evaluate
@@ -424,7 +424,7 @@ def test_load_returns_the_manifest_fit_returned(tmp_path):
         assert loaded.checkpoint_path == manifest.checkpoint_path == str(run / "checkpoint.tmc")
         assert not hasattr(loaded, "model")
         # Through one JSON encoder, so NaN fields compare equal too.
-        saved, returned = (json.dumps(m.to_dict(), sort_keys=True) for m in (loaded, manifest))
+        saved, returned = (json.dumps(asdict(m), sort_keys=True) for m in (loaded, manifest))
         assert saved == returned
     assert np.isnan(loaded.epochs[1]["val_r20"]) and np.isnan(loaded.epochs[1]["val_n20"])
 
@@ -437,7 +437,7 @@ def test_load_returns_the_manifest_fit_returned(tmp_path):
     (copy / "manifest.json").write_text(json.dumps(old))
     copied = RunManifest.load(str(copy))
     assert copied.checkpoint_path == str(copy / "checkpoint.tmc")
-    assert json.dumps(copied.to_dict(), sort_keys=True) == saved
+    assert json.dumps(asdict(copied), sort_keys=True) == saved
 
 
 def _stop_reference(script, eval_stride, patience, max_epochs):
@@ -498,10 +498,13 @@ def test_ablate_checks_every_variant_before_training(tmp_path, monkeypatch):
         raise AssertionError("a variant trained before all names were checked")
 
     monkeypatch.setattr("toporec.trainer.fit", no_training)
-    with pytest.raises(ValueError, match="unknown variant 'bogus'"):
-        ablate(_tiny_config(), ("full", "bogus"), data.table, data.features_visual,
-               data.features_textual, out_dir=str(tmp_path / "ablate"))
-    assert not (tmp_path / "ablate").exists()
+    for variants, message in [(("full", "bogus"), "unknown variant 'bogus'"),
+                              ((), "no variant given"),
+                              (("full", "no_na", "full"), "variant 'full' is listed twice")]:
+        with pytest.raises(ValueError, match=message):
+            ablate(_tiny_config(), variants, data.table, data.features_visual,
+                   data.features_textual, out_dir=str(tmp_path / "ablate"))
+        assert not (tmp_path / "ablate").exists()
 
 
 def test_fit_without_validation_split_scores_the_final_weights(tmp_path):
@@ -546,3 +549,41 @@ def test_ablate_tabulates_variants(tmp_path):
     assert len(lines) == 3
     assert (tmp_path / "full" / "manifest.json").exists()
     assert (tmp_path / "no_na" / "manifest.json").exists()
+
+
+# (field type, JSON value, accepted?): the one value rule of both config
+# readers. A float manifest field takes null too, as NaN, so no case has it.
+_VALUE_RULE = [
+    ("int", 3, True), ("int", 3.0, False), ("int", True, False), ("int", "3", False),
+    ("int", None, False), ("int", [3], False),
+    ("float", 3, True), ("float", 0.5, True), ("float", False, False), ("float", "0.5", False),
+    ("float", {}, False),
+    ("str", "tps", True), ("str", 3, False), ("str", ["tps"], False), ("str", None, False),
+]
+
+
+@pytest.mark.parametrize("kind, value, accepted", _VALUE_RULE)
+def test_config_and_manifest_readers_share_one_value_rule(tmp_path, kind, value, accepted):
+    config_field = {"int": "knn_k", "float": "na_weight", "str": "prune_mode"}[kind]
+    manifest_field = {"int": "num_items", "float": "best_val_r20", "str": "prepared_dir"}[kind]
+    verdicts = []
+    try:
+        config_from_dict({config_field: value})
+        verdicts.append(True)
+    except ValueError as exc:
+        assert f"config key {config_field!r}: expected" in str(exc)
+        verdicts.append(False)
+
+    RunManifest(config=TrainConfig(), data_hash="", feature_hashes={}, graph_hash="",
+                num_users=1, num_items=1, visual_dim=1, textual_dim=1).save(str(tmp_path))
+    path = tmp_path / "manifest.json"
+    saved = json.loads(path.read_text())
+    saved[manifest_field] = value
+    path.write_text(json.dumps(saved))
+    try:
+        assert getattr(RunManifest.load(str(tmp_path)), manifest_field) == value
+        verdicts.append(True)
+    except ValueError as exc:
+        assert f"not a run manifest ({manifest_field} is {type(value).__name__}" in str(exc)
+        verdicts.append(False)
+    assert verdicts == [accepted, accepted]
