@@ -315,11 +315,12 @@ def encoder_layer(x, w, b, gain, bias):
     return _from_op(out, parents, back)
 
 
-def dropout(x, rate, rng, train_mode=True):
-    """Inverted dropout; identity when rate is 0 or in eval mode."""
+def dropout(x, rate, rng=None):
+    """Inverted dropout drawing its mask from rng; identity when rate is 0
+    or there is no rng (evaluation)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0 or not train_mode:
+    if rate == 0.0 or rng is None:
         return x
     mask = (rng.random(x.shape) >= rate).astype(x.values.dtype) / (1.0 - rate)
     return _from_op(x.values * mask, (x,), lambda g: (g * mask,))

@@ -15,7 +15,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .config import ConfigWarning, TrainConfig, load_config_file, resolve_config
+from .config import ConfigWarning, TrainConfig, load_config_file, resolve_config, validate_config
 from .data import (
     FeatureMatrix,
     load_features,
@@ -78,10 +78,6 @@ def _seed(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _collect_flag_overrides(args):
-    return {f.name: getattr(args, f.name) for f in fields(TrainConfig) if hasattr(args, f.name)}
-
-
 def _resolve(args, names=None):
     """The command's config. A file key outside `names` (when given) is
     checked but not applied, so it draws no ConfigWarning from a command
@@ -89,7 +85,8 @@ def _resolve(args, names=None):
     file_train = load_config_file(args.config) if getattr(args, "config", None) else {}
     if names is not None:
         file_train = {key: value for key, value in file_train.items() if key in names}
-    return resolve_config(file_train, _collect_flag_overrides(args))
+    flags = {f.name: getattr(args, f.name) for f in fields(TrainConfig) if hasattr(args, f.name)}
+    return resolve_config(file_train, flags)
 
 
 def cmd_synth(args):
@@ -121,13 +118,15 @@ def cmd_synth(args):
 def cmd_prepare(args):
     table = load_interactions(_require(args.interactions, "interaction file", "synth"))
     if table.has_roles():
-        if args.ratios is not None:
-            raise ValueError(f"--ratios {args.ratios}: {args.interactions} already has a split "
-                             "column; drop the flag or the column")
+        for flag, value in (("--ratios", args.ratios), ("--seed", args.seed)):
+            if value is not None:
+                raise ValueError(f"{flag} {value}: {args.interactions} already has a split "
+                                 "column; drop the flag or the column")
     else:
         ratios = "0.8,0.1,0.1" if args.ratios is None else args.ratios
+        seed = 42 if args.seed is None else args.seed
         try:
-            table = make_split(table, ratios=ratios.split(","), seed=args.seed)
+            table = make_split(table, ratios=ratios.split(","), seed=seed)
         except ValueError as exc:
             raise ValueError(f"--ratios {ratios}: {exc}") from None
     fv = load_features(
@@ -159,6 +158,8 @@ def cmd_build_graph(args):
 
 
 def cmd_prune(args):
+    # --k is `prune_k`, so it takes that field's rule and grid warning.
+    validate_config(TrainConfig(prune_k=args.k))
     graph = load_graph(_require(args.graph, "graph file", "build-graph"))
     pruned, report = tps_prune(graph, args.k)
     save_graph(args.out, pruned)
@@ -167,8 +168,8 @@ def cmd_prune(args):
     _log(
         event="prune",
         k=args.k,
-        kept=report.total_kept(),
-        dropped=report.total_dropped(),
+        kept=int(report.kept.sum()),
+        dropped=int(report.dropped.sum()),
         out=args.out,
     )
     return 0
@@ -248,7 +249,8 @@ def cmd_ablate(args):
     cfg = _resolve(args)
     table, fv, ft = load_prepared(args.prepared)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    rows = ablate(cfg, variants, table, fv, ft, out_dir=args.out)
+    rows = ablate(cfg, variants, table, fv, ft, out_dir=args.out,
+                  prepared_dir=os.path.abspath(args.prepared))
     _log(event="ablate", variants=",".join(variants), out=args.out)
     cols = list(rows[0])[1:]
     print(f"{'variant':<12}" + "".join(f" {c:>9}" for c in cols))
@@ -277,7 +279,8 @@ def build_parser():
     p.add_argument("--features-visual", required=True)
     p.add_argument("--features-textual", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_seed, default=42)
+    p.add_argument("--seed", type=_seed, help="split seed for a file with no split column "
+                   "(default 42)")
     p.add_argument("--ratios", help="train,val,test shares for a file with no split column "
                    "(default 0.8,0.1,0.1)")
     p.set_defaults(func=cmd_prepare)

@@ -136,8 +136,6 @@ def validate_config(cfg):
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
-_BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
-               "false": False, "0": False, "no": False, "off": False}
 
 # Field type -> (what it takes, check of a value, parser of flag or file text).
 # `type(v) is int` turns bools away. "dict" and "list" are types of run
@@ -145,7 +143,8 @@ _BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
 _KINDS = {
     "int": ("an integer", lambda v: type(v) is int, int),
     "float": ("a number", lambda v: type(v) is int or isinstance(v, float), float),
-    "bool": ("a boolean", lambda v: isinstance(v, bool), lambda t: _BOOL_WORDS[t.lower()]),
+    "bool": ("a boolean", lambda v: isinstance(v, bool),
+             lambda t: configparser.ConfigParser.BOOLEAN_STATES[t.lower()]),
     "str": ("a string", lambda v: isinstance(v, str), str),
     "tuple": (
         "a list of integers",

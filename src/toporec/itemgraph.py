@@ -449,12 +449,6 @@ class PruneReport:
     min_ts: np.ndarray
     max_ts: np.ndarray
 
-    def total_kept(self):
-        return int(self.kept.sum())
-
-    def total_dropped(self):
-        return int(self.dropped.sum())
-
     def to_csv(self, path):
         rows = []
         for i in range(len(self.kept)):

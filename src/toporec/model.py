@@ -95,7 +95,7 @@ class MultimodalRecommender:
         self.params.add("fuser_w", xavier_uniform(rng, (fuse_in, cfg.embed_dim), dtype))
         self.params.add("fuser_b", np.zeros((1, cfg.embed_dim), dtype=dtype))
 
-    def _encode_modality(self, tag, values, train_mode, rng):
+    def _encode_modality(self, tag, values, rng):
         x = Tensor(np.asarray(values, dtype=self.cfg.dtype))
         if x.cols != self.cfg.modality_dims()[tag]:
             raise ValueError(
@@ -106,26 +106,25 @@ class MultimodalRecommender:
             x = ag.encoder_layer(
                 x, *(self.params[f"{tag}_mlp{layer}_{p}"] for p in ("w", "b", "gain", "bias"))
             )
-            x = ag.dropout(x, self.cfg.dropout, rng, train_mode)
+            x = ag.dropout(x, self.cfg.dropout, rng)
         return x
 
-    def encode_items(self, features, train_mode=False, rng=None, return_branches=False):
-        """Fused modality encoding for all items, shape (num_items, d).
+    def encode_items(self, features, rng=None):
+        """(fused modality encoding for all items, shape (num_items, d),
+        dict of each modality's branch output).
 
-        features maps modality name to its raw array. Branch outputs are
-        also returned when asked (used by per-modality alignment terms).
+        features maps modality name to its raw array. Dropout draws from
+        rng, so training passes one and evaluation none.
         """
         branches = {}
         for tag in self.cfg.modality_dims():
             if features.get(tag) is None:
                 raise ValueError(f"model expects {tag} features but none were given")
-            branches[tag] = self._encode_modality(tag, features[tag], train_mode, rng)
+            branches[tag] = self._encode_modality(tag, features[tag], rng)
         parts = list(branches.values())
         merged = parts[0] if len(parts) == 1 else ag.concat_cols(parts[0], parts[1])
         fused = ag.tanh(ag.add(ag.matmul(merged, self.params["fuser_w"]), self.params["fuser_b"]))
-        if return_branches:
-            return fused, branches
-        return fused
+        return fused, branches
 
     def aggregate(self, h_items, s_ui, s_iu):
         """LightGCN propagation; returns layer-summed (z_users, z_items)."""
@@ -138,14 +137,15 @@ class MultimodalRecommender:
             z_i = ag.add(z_i, h_i)
         return z_u, z_i
 
-    def forward(self, features, s_ui, s_iu, train_mode=False, rng=None):
-        h_items = self.encode_items(features, train_mode=train_mode, rng=rng)
+    def forward(self, features, s_ui, s_iu):
+        """Evaluation-mode pass; returns (z_users, z_items, item encodings)."""
+        h_items, _ = self.encode_items(features)
         z_u, z_i = self.aggregate(h_items, s_ui, s_iu)
         return z_u, z_i, h_items
 
     def embeddings(self, features, s_ui, s_iu):
         """Evaluation-mode user/item representation arrays."""
-        z_u, z_i, _ = self.forward(features, s_ui, s_iu, train_mode=False)
+        z_u, z_i, _ = self.forward(features, s_ui, s_iu)
         return z_u.values, z_i.values
 
 

@@ -142,12 +142,8 @@ class RunManifest:
     def save(self, out_dir):
         manifest = json.dumps(_nulls(asdict(self)), indent=2, sort_keys=True, allow_nan=False)
         write_file(os.path.join(out_dir, "manifest.json"), manifest, "\n")
-        cols = ("loss_bpr", "loss_na", "val_r20", "val_n20")
-        write_file(
-            os.path.join(out_dir, "epochs.csv"),
-            f"epoch,{','.join(cols)}\n",
-            *(f"{row['epoch']},{','.join(repr(row[c]) for c in cols)}\n" for row in self.epochs),
-        )
+        _write_table(os.path.join(out_dir, "epochs.csv"), "epoch",
+                     ("loss_bpr", "loss_na", "val_r20", "val_n20"), self.epochs)
 
     @classmethod
     def load(cls, run_dir):
@@ -182,6 +178,12 @@ class RunManifest:
         return run
 
 
+def _write_table(path, key, cols, rows):
+    """CSV of `rows` (dicts): column `key` as written, then each of `cols` as its repr."""
+    write_file(path, f"{key},{','.join(cols)}\n",
+               *(f"{row[key]},{','.join(repr(row[c]) for c in cols)}\n" for row in rows))
+
+
 def _nulls(value):
     """value with each non-finite float as None, which JSON writes as null."""
     if isinstance(value, dict):
@@ -201,12 +203,6 @@ def _sha256(*arrays):
 def data_hash(table):
     """SHA-256 of a table's interactions and their split roles."""
     return _sha256(table.edges, table.roles)
-
-
-def _graph_hash(graph):
-    if graph is None:
-        return ""
-    return _sha256(graph.indptr, graph.indices, graph.weights)
 
 
 def _dump_bad_batch(out_dir, epoch, step, batch, na_ids):
@@ -302,7 +298,8 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
         config=cfg,
         data_hash=data_hash(table),
         feature_hashes={tag: _sha256(arr) for tag, arr in features.items()},
-        graph_hash=_graph_hash(na_graph),
+        graph_hash="" if na_graph is None else _sha256(na_graph.indptr, na_graph.indices,
+                                                       na_graph.weights),
         num_users=table.num_users,
         num_items=table.num_items,
         visual_dim=model.cfg.visual_dim,
@@ -324,9 +321,7 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
         na_total = 0.0
         for step in range(steps_per_epoch):
             batch = sample_bpr_triples(table, cfg.batch_size, streams["negatives"])
-            h_items, branches = model.encode_items(
-                features, train_mode=True, rng=streams["dropout"], return_branches=True
-            )
+            h_items, branches = model.encode_items(features, streams["dropout"])
             z_u, z_i = model.aggregate(h_items, s_ui, s_iu)
             l_bpr = bpr_loss(z_u, z_i, batch)
             l_na = None
@@ -397,17 +392,20 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
 
 
 def run_variant(name, cfg, table, features_visual, features_textual,
-                out_dir=None, corrupt_eps=0.0):
-    """Build this variant's graphs and train it end to end."""
+                out_dir=None, corrupt_eps=0.0, prepared_dir=""):
+    """Build this variant's graphs and train it end to end; `prepared_dir`
+    is recorded in the manifest, so `evaluate` can find the data."""
     vcfg = variant_config(cfg, name)
     graph = None
     if vcfg.na_weight > 0:
         graph, _, _ = build_item_graph(vcfg, features_visual, features_textual,
                                        corrupt_eps=corrupt_eps)
-    return fit(vcfg, table, features_visual, features_textual, na_graph=graph, out_dir=out_dir)
+    return fit(vcfg, table, features_visual, features_textual, na_graph=graph, out_dir=out_dir,
+               prepared_dir=prepared_dir)
 
 
-def ablate(cfg, variants, table, features_visual, features_textual, out_dir=None):
+def ablate(cfg, variants, table, features_visual, features_textual, out_dir=None,
+           prepared_dir=""):
     """Train the requested variants and tabulate their test metrics: each
     row is the variant's name, then recall@N for each N in `eval_topn`,
     then ndcg@N for each."""
@@ -422,13 +420,10 @@ def ablate(cfg, variants, table, features_visual, features_textual, out_dir=None
     rows = []
     for name in variants:
         run_dir = os.path.join(out_dir, name) if out_dir else None
-        manifest = run_variant(name, cfg, table, features_visual, features_textual, run_dir)
+        manifest = run_variant(name, cfg, table, features_visual, features_textual, run_dir,
+                               prepared_dir=prepared_dir)
         metrics = manifest.test_metrics or manifest.val_metrics
         rows.append({"variant": name, **{c: metrics.get(c, math.nan) for c in cols}})
     if out_dir:
-        write_file(
-            os.path.join(out_dir, "ablation.csv"),
-            f"variant,{','.join(cols)}\n",
-            *(f"{row['variant']},{','.join(repr(row[c]) for c in cols)}\n" for row in rows),
-        )
+        _write_table(os.path.join(out_dir, "ablation.csv"), "variant", cols, rows)
     return rows

@@ -424,22 +424,22 @@ def test_layer_norm_normalizes_and_handles_constant_rows():
 def test_dropout_identity_and_scaling():
     rng = np.random.default_rng(22)
     x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
-    assert ag.dropout(x, 0.0, rng, train_mode=True) is x
-    assert ag.dropout(x, 0.5, rng, train_mode=False) is x
+    assert ag.dropout(x, 0.0, rng) is x
+    assert ag.dropout(x, 0.5) is x  # no rng: evaluation
     with pytest.raises(ValueError, match="rate"):
         ag.dropout(x, 1.0, rng)
     with pytest.raises(ValueError, match="rate"):
         ag.dropout(x, -0.1, rng)
 
     big = Tensor(np.ones((200, 200)))
-    kept = ag.dropout(big, 0.25, np.random.default_rng(5), train_mode=True).values
+    kept = ag.dropout(big, 0.25, np.random.default_rng(5)).values
     assert set(np.round(np.unique(kept), 12)) == {0.0, np.round(1.0 / 0.75, 12)}
     assert abs(kept.mean() - 1.0) < 0.02
 
 
 def test_dropout_gradient_uses_same_mask():
     x = Tensor(np.ones((30, 30)), requires_grad=True)
-    out = ag.dropout(x, 0.4, np.random.default_rng(9), train_mode=True)
+    out = ag.dropout(x, 0.4, np.random.default_rng(9))
     ag.tsum(out).backward()
     assert np.array_equal(x.grad, out.values)
 

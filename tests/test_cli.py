@@ -189,6 +189,32 @@ def test_prepare_refuses_ratios_beside_a_split_column(pipeline, tmp_path, capsys
     assert _digest(explicit / "split.txt") == _digest(prep / "split.txt")
 
 
+def test_prepare_refuses_seed_beside_a_split_column(pipeline, tmp_path, capsys):
+    _, raw, prep, _, _ = pipeline
+    out = tmp_path / "prep"
+    assert _run([
+        "prepare",
+        "--interactions", str(prep / "split.txt"),
+        "--features-visual", str(prep / "features_visual.tmf"),
+        "--features-textual", str(prep / "features_textual.tmf"),
+        "--out", str(out),
+        "--seed", "5",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert f"error: --seed 5: {prep / 'split.txt'} already has a split column" in err
+    assert not out.exists()
+    # On a file with no split column, the split seed defaults to 42.
+    assert _run([
+        "prepare",
+        "--interactions", str(raw / "interactions.txt"),
+        "--features-visual", str(raw / "features_visual.tmf"),
+        "--features-textual", str(raw / "features_textual.tmf"),
+        "--out", str(out),
+        "--seed", "42",
+    ]) == 0
+    assert _digest(out / "split.txt") == _digest(prep / "split.txt")
+
+
 @pytest.mark.parametrize("flag, value, name", [
     ("--clusters", "0", "num_clusters"),
     ("--clusters", "-1", "num_clusters"),
@@ -262,6 +288,23 @@ def test_build_graph_modalities_differ(pipeline, tmp_path, capsys):
 def test_prune_k_defaults_to_the_config_default():
     args = build_parser().parse_args(["prune", "--graph", "g", "--out", "o"])
     assert args.k == TrainConfig().prune_k
+
+
+def test_prune_k_takes_the_config_rule(pipeline, tmp_path, capsys, monkeypatch):
+    _, _, _, graph, _ = pipeline
+    _show_warnings_on_stderr(monkeypatch)
+    capsys.readouterr()
+    out = tmp_path / "pruned.tmg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", ConfigWarning)
+        assert main(["prune", "--graph", str(graph), "--out", str(out), "--k", "20"]) == 0
+    assert capsys.readouterr().err.splitlines()[0] == (
+        "event=warning command=prune message=prune_k=20 is outside the searched range (3, 10)"
+    )
+    out.unlink()
+    assert _run(["prune", "--graph", str(graph), "--out", str(out), "--k", "0"]) == 1
+    assert "error: prune_k must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_prune_artifacts(pipeline):
@@ -364,14 +407,17 @@ def test_build_graph_warns_only_about_graph_settings(pipeline, tmp_path):
         assert [str(w.message) for w in caught if w.category is ConfigWarning] == expected
 
 
-def test_config_warning_is_one_key_value_line(pipeline, tmp_path, capsys, monkeypatch):
-    _, _, prep, _, _ = pipeline
-
+def _show_warnings_on_stderr(monkeypatch):
     def show(message, category, filename, lineno, file=None, line=None):
         # What Python does with a warning that no recorder takes.
         sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
     monkeypatch.setattr(warnings, "showwarning", show)
+
+
+def test_config_warning_is_one_key_value_line(pipeline, tmp_path, capsys, monkeypatch):
+    _, _, prep, _, _ = pipeline
+    _show_warnings_on_stderr(monkeypatch)
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("always", ConfigWarning)
@@ -836,6 +882,23 @@ def test_ablate_columns_follow_eval_topn(pipeline, tmp_path, capsys, cutoffs):
                                    lines[1].split(",")[1:]):
         assert np.isfinite(float(written)) and float(written) == test_metrics[key]
         assert shown == f"{float(written):.4f}"
+
+
+def test_ablate_runs_evaluate_without_prepared(pipeline, tmp_path, capsys):
+    _, _, prep, _, _ = pipeline
+    out = tmp_path / "abl"
+    assert _run(["ablate", "--prepared", str(prep), "--out", str(out), "--variants", "no_na",
+                 "--max-epochs", "1", "--embed-dim", "8", "--hidden-dim", "8",
+                 "--batch-size", "64"]) == 0
+    manifest = json.loads((out / "no_na" / "manifest.json").read_text())
+    assert manifest["prepared_dir"] == str(prep)
+    capsys.readouterr()
+    assert _run(["evaluate", "--run", str(out / "no_na")]) == 0
+    scored = {key: float(value) for _, key, value in
+              (line.split() for line in capsys.readouterr().out.splitlines())}
+    assert scored.keys() == manifest["test_metrics"].keys() - {"split", "num_users"}
+    for key, value in scored.items():
+        assert abs(value - manifest["test_metrics"][key]) < 5e-7  # printed at 6 decimals
 
 
 def test_config_file_and_flags_layer(pipeline, tmp_path, capsys):

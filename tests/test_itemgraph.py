@@ -415,7 +415,7 @@ def test_tps_prune_pass_through_and_subset():
     g = dense_to_graph(dense)
     same, report = tps_prune(g, 10)  # k above the max out-degree
     assert graphs_equal(g, same)
-    assert report.total_dropped() == 0
+    assert report.dropped.sum() == 0
 
     pruned, report = tps_prune(g, 2)
     kept = graph_edge_set(pruned)
@@ -425,8 +425,8 @@ def test_tps_prune_pass_through_and_subset():
     degs = pruned.out_degrees()
     orig = g.out_degrees()
     assert np.all(degs == np.minimum(orig, 2))
-    assert report.total_kept() == pruned.nnz
-    assert report.total_kept() + report.total_dropped() == g.nnz
+    assert report.kept.sum() == pruned.nnz
+    assert report.kept.sum() + report.dropped.sum() == g.nnz
 
 
 def test_tps_prune_tie_breaks():

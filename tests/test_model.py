@@ -104,8 +104,10 @@ def test_encode_items_full_catalog_shapes():
     model = MultimodalRecommender(cfg, rng)
     fv = rng.standard_normal((7050, 4096)).astype(np.float32)
     ft = rng.standard_normal((7050, 384)).astype(np.float32)
-    out = model.encode_items({"visual": fv, "textual": ft})
+    out, branches = model.encode_items({"visual": fv, "textual": ft})
     assert out.values.shape == (7050, 64)
+    assert {tag: b.values.shape for tag, b in branches.items()} == {
+        "visual": (7050, 64), "textual": (7050, 64)}
     assert np.isfinite(out.values).all()
 
 
@@ -115,7 +117,7 @@ def test_encode_items_zero_fuser_gives_zeros():
     model.params["fuser_b"].values[:] = 0.0
     rng = np.random.default_rng(2)
     feats = {"visual": rng.standard_normal((6, 5)), "textual": rng.standard_normal((6, 3))}
-    out = model.encode_items(feats)
+    out, _ = model.encode_items(feats)
     assert np.all(out.values == 0.0)
 
 
@@ -133,8 +135,9 @@ def test_single_modality_path():
     model, _ = _model(visual_dim=0)
     assert model.params["fuser_w"].values.shape == (4, 4)
     rng = np.random.default_rng(4)
-    out = model.encode_items({"textual": rng.standard_normal((6, 3))})
+    out, branches = model.encode_items({"textual": rng.standard_normal((6, 3))})
     assert out.values.shape == (6, 4)
+    assert list(branches) == ["textual"]
     with pytest.raises(KeyError):
         model.params["visual_mlp0_w"]
 
@@ -143,12 +146,15 @@ def test_encode_dropout_only_in_train_mode():
     model, _ = _model(dropout=0.5)
     rng = np.random.default_rng(5)
     feats = {"visual": rng.standard_normal((6, 5)), "textual": rng.standard_normal((6, 3))}
-    a = model.encode_items(feats, train_mode=False).values
-    b = model.encode_items(feats, train_mode=False).values
-    assert np.array_equal(a, b)
-    c = model.encode_items(feats, train_mode=True, rng=np.random.default_rng(6)).values
-    d = model.encode_items(feats, train_mode=True, rng=np.random.default_rng(9)).values
-    assert not np.array_equal(c, d)
+    # Training is the pass given an rng; with none, dropout is the identity.
+    a, _ = model.encode_items(feats)
+    b, _ = model.encode_items(feats)
+    assert np.array_equal(a.values, b.values)
+    s_ui, s_iu = build_propagation_matrix(_table([(0, 0, 0)], num_users=4, num_items=6))
+    assert np.array_equal(a.values, model.forward(feats, s_ui, s_iu)[2].values)
+    c, _ = model.encode_items(feats, np.random.default_rng(6))
+    d, _ = model.encode_items(feats, np.random.default_rng(9))
+    assert not np.array_equal(c.values, d.values)
 
 
 def test_aggregate_zero_layers_is_identity():
@@ -493,7 +499,8 @@ def _float32_step(monkeypatch):
         "visual": rng.standard_normal((6, 5)).astype(np.float32),
         "textual": rng.standard_normal((6, 3)).astype(np.float32),
     }
-    z_u, z_i, h_items = model.forward(features, s_ui, s_iu, train_mode=True, rng=rng)
+    h_items, _ = model.encode_items(features, rng)
+    z_u, z_i = model.aggregate(h_items, s_ui, s_iu)
     batch = TripleBatch(np.array([0, 1, 3, 3]), np.array([0, 1, 4, 5]), np.array([1, 0, 0, 2]))
     # Anchor row 2 has no in-batch neighbour, so the NA loss also drops one.
     weights = np.array([[0, 1, 0, 0], [0.5, 0, 0, 0], [0, 0, 0, 0]], dtype=np.float32)
