@@ -387,12 +387,12 @@ def spmm(s, x):
     return _from_op(out, (x,), lambda g: (np.asarray(s.T @ g).astype(dtype, copy=False),))
 
 
-def finite_diff_check(loss_fn, params, h=1e-4, max_coords_per_param=None, rng=None):
+def finite_diff_check(loss_fn, params, h=1e-4):
     """Compare analytic gradients of loss_fn() against central differences.
 
     loss_fn must rebuild the graph from ``params`` on every call and be
-    deterministic. Returns the max relative error over the checked
-    coordinates, where the error of a coordinate is
+    deterministic. Returns the max relative error over every coordinate
+    of every parameter, where the error of a coordinate is
     |analytic - fd| / max(|analytic|, |fd|, 1e-6). Use float64 params;
     float32 drowns the difference quotient in rounding noise.
     """
@@ -402,12 +402,7 @@ def finite_diff_check(loss_fn, params, h=1e-4, max_coords_per_param=None, rng=No
     analytic = [np.zeros_like(p.values) if p.grad is None else p.grad.copy() for p in params]
     worst = 0.0
     for p, ga in zip(params, analytic):
-        coords = [(i, j) for i in range(p.rows) for j in range(p.cols)]
-        if max_coords_per_param is not None and len(coords) > max_coords_per_param:
-            rng = rng or np.random.default_rng(0)
-            pick = rng.choice(len(coords), size=max_coords_per_param, replace=False)
-            coords = [coords[k] for k in pick]
-        for i, j in coords:
+        for i, j in np.ndindex(p.shape):
             orig = p.values[i, j]
             p.values[i, j] = orig + h
             f_plus = loss_fn().item()

@@ -53,6 +53,13 @@ def _log(**kv):
     print(_line(**kv), file=sys.stderr)
 
 
+def _print_metrics(split, metrics):
+    """One `<split> <key> <value>` stdout line per cutoff metric, in key order."""
+    for key, value in sorted(metrics.items()):
+        if "@" in key:
+            print(f"{split} {key} {value:.6f}")
+
+
 def _require(path, what, hint):
     if not os.path.exists(path):
         raise FileNotFoundError(f"{what} not found at {path}; run `toporec {hint}` first")
@@ -204,9 +211,7 @@ def cmd_train(args):
         best_val_r20=manifest.best_val_r20,
         out=args.out,
     )
-    for key, value in sorted((manifest.test_metrics or {}).items()):
-        if "@" in str(key):
-            print(f"test {key} {value:.6f}")
+    _print_metrics("test", manifest.test_metrics)
     return 0
 
 
@@ -224,7 +229,7 @@ def cmd_evaluate(args):
         )
     for feats in (fv, ft):
         dim = getattr(manifest, f"{feats.modality}_dim")
-        if getattr(cfg, f"use_{feats.modality}") and feats.dim != dim:
+        if feats.modality in cfg.modalities() and feats.dim != dim:
             raise ValueError(
                 f"prepared directory {prepared} holds {feats.dim}-d {feats.modality} features, "
                 f"but the manifest in {args.run} records {feats.modality}_dim {dim}"
@@ -239,9 +244,7 @@ def cmd_evaluate(args):
     write_metrics_csv(out_base + ".csv", metrics)
     write_metrics_json(out_base + ".json", metrics)
     _log(event="evaluate", split=args.split, users=metrics["num_users"], out=out_base + ".csv")
-    for key, value in sorted(metrics.items()):
-        if "@" in str(key):
-            print(f"{args.split} {key} {value:.6f}")
+    _print_metrics(args.split, metrics)
     return 0
 
 

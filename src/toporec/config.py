@@ -79,6 +79,11 @@ class TrainConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not value_fits(kind, value):
+                raise ValueError(f"config key {name!r}: expected {_KINDS[kind][0]}, "
+                                 f"got {value!r}")
         self.eval_topn = tuple(self.eval_topn)
         topn = self.eval_topn
         rules = [
@@ -96,14 +101,21 @@ class TrainConfig:
             ("eval_topn", len(topn) > 0 and min(topn) >= 1, "hold at least one cutoff, each >= 1"),
             ("dtype", self.dtype in _DTYPES, "be float32 or float64"),
         ]
+        # After the range rules, so NaN keeps their message.
+        rules += [(name, np.isfinite(getattr(self, name)), "be finite")
+                  for name, kind in _FIELD_TYPES.items() if kind == "float"]
         # Each rule tests what must hold, so NaN, which fails every comparison, breaks it.
         for name, ok, what in rules:
             if not ok:
                 value = getattr(self, name)
                 shown = repr(value) if isinstance(value, str) else value
                 raise ValueError(f"{name} must {what}, got {shown}")
-        if not (self.use_visual or self.use_textual):
+        if not self.modalities():
             raise ValueError("at least one modality must be enabled")
+
+    def modalities(self):
+        """The enabled modality tags, visual first."""
+        return [tag for tag in ("visual", "textual") if getattr(self, f"use_{tag}")]
 
     def numpy_dtype(self):
         return _DTYPES[self.dtype]
@@ -178,18 +190,12 @@ def config_from_dict(values, source="", base=None):
     """`base` (the defaults when None) with the fields in `values`.
 
     A ValueError, prefixed by `source` when given, rejects an unknown key
-    and a value whose type is not the field's: ints (not bools) for int
-    fields, ints or floats for float fields, a list or tuple of ints for
-    eval_topn.
+    and any value `TrainConfig` rejects.
     """
     prefix = f"{source}: " if source else ""
-    for name, value in values.items():
+    for name in values:
         if name not in _FIELD_TYPES:
             raise ValueError(f"{prefix}unknown config key {name!r}")
-        kind = _FIELD_TYPES[name]
-        if not value_fits(kind, value):
-            raise ValueError(f"{prefix}config key {name!r}: expected {_KINDS[kind][0]}, "
-                             f"got {value!r}")
     try:
         return replace(base or TrainConfig(), **values)
     except ValueError as exc:

@@ -55,12 +55,9 @@ class ModelConfig:
     dtype: object = np.float32
 
     def modality_dims(self):
-        dims = {}
-        if self.visual_dim > 0:
-            dims["visual"] = self.visual_dim
-        if self.textual_dim > 0:
-            dims["textual"] = self.textual_dim
-        return dims
+        """{modality: width} for each modality of positive width, visual first."""
+        widths = (("visual", self.visual_dim), ("textual", self.textual_dim))
+        return {tag: dim for tag, dim in widths if dim > 0}
 
 
 class MultimodalRecommender:
@@ -234,26 +231,28 @@ def eligible_anchor_items(graph):
     return np.flatnonzero(np.diff(positive_subgraph(graph).indptr))
 
 
-def positive_subgraph(graph):
-    """The edges of `graph` with positive weight, as a float64 scipy CSR."""
+def positive_subgraph(graph, dtype=np.float64):
+    """The edges of `graph` with positive weight, as a scipy CSR of `dtype`."""
     import scipy.sparse as sp  # deferred; see the package docstring
 
     n = graph.num_nodes
     # A copy, since eliminate_zeros compacts the arrays it holds in place.
     mat = sp.csr_matrix((graph.weights, graph.indices, graph.indptr), shape=(n, n), copy=True)
     mat.eliminate_zeros()
-    return mat
+    # Cast after the compaction, so a weight that rounds to 0 keeps its anchor.
+    return mat.astype(dtype, copy=False)
 
 
-def build_na_batch(positive, rng, num_anchors, dtype=np.float32):
+def build_na_batch(positive, rng, num_anchors):
     """Sample alignment anchors and force one neighbor each into the batch.
 
-    `positive` is `positive_subgraph(graph)`, which a caller sampling many
-    batches builds once. Anchors are drawn uniformly without replacement
-    from items with a positive-weight out-edge; each contributes one
-    uniformly chosen such neighbor. Returns (batch item ids sorted unique,
-    anchor positions within the batch, (anchors, batch) weight slice), or
-    None when the graph has no eligible anchor.
+    `positive` is `positive_subgraph(graph, dtype)`, which a caller
+    sampling many batches builds once. Anchors are drawn uniformly without
+    replacement from items with a positive-weight out-edge; each
+    contributes one uniformly chosen such neighbor. Returns (batch item
+    ids sorted unique, anchor positions within the batch, (anchors, batch)
+    weight slice in the CSR's dtype), or None when the graph has no
+    eligible anchor.
     """
     counts = np.diff(positive.indptr)
     eligible = np.flatnonzero(counts)
@@ -264,16 +263,16 @@ def build_na_batch(positive, rng, num_anchors, dtype=np.float32):
     # One draw per anchor, in anchor order: the same numbers and generator
     # state as one rng.integers(0, count) call per anchor.
     partners = positive.indices[positive.indptr[anchors] + rng.integers(0, counts[anchors])]
-    return slice_na_batch(positive, anchors, np.unique(np.concatenate([anchors, partners])), dtype)
+    return slice_na_batch(positive, anchors, np.unique(np.concatenate([anchors, partners])))
 
 
 def na_batch_from_items(graph, item_ids, dtype=np.float32):
     """Alignment batch over given items, every item serving as anchor."""
     batch_ids = np.unique(np.asarray(item_ids, dtype=np.int64))
-    return slice_na_batch(positive_subgraph(graph), batch_ids, batch_ids, dtype)
+    return slice_na_batch(positive_subgraph(graph, dtype), batch_ids, batch_ids)
 
 
-def slice_na_batch(positive, anchors, batch_ids, dtype=np.float32):
+def slice_na_batch(positive, anchors, batch_ids):
     """Alignment batch of sorted `anchors` within sorted unique `batch_ids`, from CSR `positive`."""
-    weights = positive[anchors][:, batch_ids].astype(dtype).toarray()
+    weights = positive[anchors][:, batch_ids].toarray()
     return batch_ids, np.searchsorted(batch_ids, anchors), weights

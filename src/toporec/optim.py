@@ -21,16 +21,15 @@ __all__ = [
 class ParamStore:
     """Ordered mapping of names to trainable tensors plus Adam state.
 
-    Moment buffers always match their parameter's shape; each parameter
-    keeps its own step counter so bias correction stays exact for
-    parameters that skip steps (no gradient that step).
+    Moment buffers always match their parameter's shape; `steps` counts
+    the `adam_step` calls, whose bias correction every parameter shares.
     """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
-        self._steps: dict[str, int] = {}
+        self.steps = 0
 
     def add(self, name, values):
         if name in self._params:
@@ -39,7 +38,6 @@ class ParamStore:
         self._params[name] = t
         self._m[name] = np.zeros_like(t.values)
         self._v[name] = np.zeros_like(t.values)
-        self._steps[name] = 0
         return t
 
     def __getitem__(self, name):
@@ -47,9 +45,6 @@ class ParamStore:
 
     def items(self):
         return self._params.items()
-
-    def step_count(self, name):
-        return self._steps[name]
 
     def state_arrays(self):
         """Copies of the current parameter values, keyed by name."""
@@ -79,20 +74,21 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 def adam_step(store, lr, weight_decay=0.0):
-    """One Adam update over every parameter that has a gradient.
+    """One Adam update over every parameter that has a gradient, at step
+    `store.steps + 1`; a parameter with no gradient is left as it is.
 
     Weight decay is decoupled from the moment estimates and applied only
     when positive. Gradients are cleared after the update. Each update
     runs in place through two scratch arrays, operation for operation
     as p -= lr * m_hat / (sqrt(v_hat) + eps), then p -= lr * wd * p.
     """
+    store.steps += 1
+    t = store.steps
     for name, p in store.items():
         g = p.grad
         if g is None:
             continue
         g = g.astype(p.values.dtype, copy=False)
-        t = store._steps[name] + 1
-        store._steps[name] = t
         m = store._m[name]
         v = store._v[name]
         step = np.multiply(g, 1.0 - BETA1)

@@ -17,6 +17,8 @@ from .itemgraph import SparseGraph
 
 __all__ = ["SyntheticDataset", "make_clustered_dataset", "plant_cross_cluster_edges"]
 
+AFFINITY = 0.9  # share of a user's draws from their preferred cluster
+
 
 @dataclass
 class SyntheticDataset:
@@ -24,7 +26,6 @@ class SyntheticDataset:
     features_visual: FeatureMatrix
     features_textual: FeatureMatrix
     item_clusters: np.ndarray
-    user_clusters: np.ndarray
 
 
 def make_clustered_dataset(
@@ -37,13 +38,12 @@ def make_clustered_dataset(
     textual_noise=0.9,
     interactions_low=5,
     interactions_high=10,
-    affinity=0.9,
     seed=0,
 ):
     """Generate interactions plus two noisy feature views.
 
     Each user interacts with between interactions_low and
-    interactions_high distinct items; a fraction `affinity` of the draws
+    interactions_high distinct items; a share `AFFINITY` of the draws
     comes from the user's preferred cluster, the rest is uniform. The
     returned table carries no split roles yet.
     """
@@ -77,7 +77,7 @@ def make_clustered_dataset(
         tries = 0
         while len(chosen) < want and tries < 50 * want:
             tries += 1
-            if rng.random() < affinity:
+            if rng.random() < AFFINITY:
                 item = int(own[rng.integers(0, len(own))])
             else:
                 item = int(rng.integers(0, num_items))
@@ -98,7 +98,6 @@ def make_clustered_dataset(
         features_visual=FeatureMatrix("visual", visual),
         features_textual=FeatureMatrix("textual", textual),
         item_clusters=item_clusters,
-        user_clusters=user_clusters,
     )
 
 

@@ -96,15 +96,10 @@ def build_item_graph(cfg, features_visual, features_textual, corrupt_eps=0.0):
     streams, so the whole construction is reproducible.
     """
     streams = rng_streams(cfg.seed)
-    parts = []
-    if cfg.use_visual:
-        parts.append(build_knn_graph(features_visual, cfg.knn_k, binarize=cfg.binarize_knn))
-    if cfg.use_textual:
-        parts.append(build_knn_graph(features_textual, cfg.knn_k, binarize=cfg.binarize_knn))
-    if len(parts) == 2:
-        fused = fuse_graphs(parts[0], parts[1], cfg.visual_weight)
-    else:
-        fused = parts[0]
+    given = {"visual": features_visual, "textual": features_textual}
+    parts = [build_knn_graph(given[tag], cfg.knn_k, binarize=cfg.binarize_knn)
+             for tag in cfg.modalities()]
+    fused = parts[0] if len(parts) == 1 else fuse_graphs(*parts, cfg.visual_weight)
     if corrupt_eps > 0.0:
         fused = corrupt_graph(fused, corrupt_eps, streams["corruption"])
     report = None
@@ -205,10 +200,13 @@ def data_hash(table):
     return _sha256(table.edges, table.roles)
 
 
+_NAN_BATCH = "nan_batch.npz"  # the batch that made a run's loss non-finite
+
+
 def _dump_bad_batch(out_dir, epoch, step, batch, na_ids):
     if not out_dir:
         return ""
-    path = os.path.join(out_dir, "nan_batch.npz")
+    path = os.path.join(out_dir, _NAN_BATCH)
     buf = io.BytesIO()
     np.savez(
         buf,
@@ -233,10 +231,9 @@ def build_model(cfg, table, features):
     the same parameter layout and starting values.
     """
     dtype = cfg.numpy_dtype()
-    enabled = [tag for tag, use in (("visual", cfg.use_visual), ("textual", cfg.use_textual)) if use]
     arrays = {
         tag: np.asarray(getattr(features[tag], "values", features[tag]), dtype=dtype)
-        for tag in enabled
+        for tag in cfg.modalities()
     }
     model = MultimodalRecommender(
         ModelConfig(
@@ -284,7 +281,7 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
     )
     s_ui, s_iu = build_propagation_matrix(table, dtype)
 
-    positive = positive_subgraph(na_graph) if cfg.na_weight > 0 else None
+    positive = positive_subgraph(na_graph, dtype) if cfg.na_weight > 0 else None
     if positive is not None and positive.nnz == 0:
         warnings.warn("supervision graph has no positive-weight edges; alignment disabled")
         positive = None
@@ -315,6 +312,8 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
     # epoch's metrics and embeddings are kept rather than recomputed.
     val_cutoffs = tuple(cfg.eval_topn) + ((20,) if 20 not in cfg.eval_topn else ())
     kept_keys = {"split", "num_users", *_metric_keys(cfg)}
+    if out_dir and os.path.exists(stale := os.path.join(out_dir, _NAN_BATCH)):
+        os.remove(stale)  # an earlier run's dump does not describe this one
 
     for epoch in range(cfg.max_epochs):
         bpr_total = 0.0
@@ -328,10 +327,10 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
             na_ids = None
             if positive is not None:
                 if cfg.na_anchor_mode == "independent":
-                    na = build_na_batch(positive, streams["anchors"], cfg.batch_size, dtype)
+                    na = build_na_batch(positive, streams["anchors"], cfg.batch_size)
                 else:
                     ids = np.unique(np.concatenate([batch.pos_items, batch.neg_items]))
-                    na = slice_na_batch(positive, ids, ids, dtype)
+                    na = slice_na_batch(positive, ids, ids)
                 na_ids, anchor_rows, na_weights = na
                 tags = sorted(branches) if cfg.na_on_modalities else []
                 for h in [h_items] + [branches[tag] for tag in tags]:

@@ -476,12 +476,3 @@ def test_finite_diff_check_flags_wrong_gradients():
 
     err = finite_diff_check(lambda: ag.tsum(bad_op(x)), [x])
     assert err > 1e-2
-
-
-def test_finite_diff_check_coordinate_sampling():
-    rng = np.random.default_rng(25)
-    x = _leaf(rng, 10, 10)
-    err = finite_diff_check(
-        lambda: ag.tsum(ag.tanh(x)), [x], max_coords_per_param=7, rng=np.random.default_rng(1)
-    )
-    assert err < TOL

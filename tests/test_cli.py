@@ -20,6 +20,7 @@ from toporec.config import ConfigWarning, TrainConfig
 from toporec.data import FeatureMatrix, load_prepared, save_features
 from toporec.itemgraph import load_graph
 from toporec.synth import make_clustered_dataset
+from toporec.trainer import fit
 
 
 def _run(argv):
@@ -483,10 +484,15 @@ def test_train_without_graph_names_missing_steps(pipeline, capsys):
         (["--seed", "-1"], "seed must be >= 0, got -1"),
         (["--dropout", "1.5"], "dropout must be in [0, 1), got 1.5"),
         (["--max-epochs", "0"], "max_epochs must be >= 1, got 0"),
+        (["--lr", "inf"], "lr must be finite, got inf"),
+        (["--l2-weight", "inf"], "l2_weight must be finite, got inf"),
+        (["--na-weight", "inf"], "na_weight must be finite, got inf"),
+        (["--temperature", "inf"], "temperature must be finite, got inf"),
     ],
     ids=["eval-topn-empty", "eval-topn-zero", "batch-size-zero", "eval-stride-zero",
          "embed-dim-zero", "hidden-dim-zero", "lr-negative", "l2-weight-negative",
-         "seed-negative", "dropout-above-one", "max-epochs-zero"],
+         "seed-negative", "dropout-above-one", "max-epochs-zero", "lr-inf", "l2-weight-inf",
+         "na-weight-inf", "temperature-inf"],
 )
 def test_train_rejects_bad_settings_before_training(pipeline, tmp_path, capsys, monkeypatch,
                                                     flags, message):
@@ -515,6 +521,31 @@ def test_train_reports_non_finite_loss_as_error_line(pipeline, tmp_path, capsys,
     err = capsys.readouterr().err
     assert "error: non-finite loss at epoch 0 step 0" in err
     assert str(run / "nan_batch.npz") in err
+
+
+def test_evaluate_needs_a_run_manifest(tmp_path, capsys):
+    assert _run(["evaluate", "--run", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: run manifest not found at {tmp_path / 'manifest.json'}" in err
+
+
+def test_evaluate_a_library_run_needs_prepared(pipeline, tmp_path, capsys):
+    _, _, prep, _, _ = pipeline
+    table, fv, ft = load_prepared(str(prep))
+    cfg = TrainConfig(seed=2, na_weight=0.0, embed_dim=8, hidden_dim=8, max_epochs=1)
+    run = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfigWarning)
+        manifest = fit(cfg, table, fv, ft, out_dir=str(run))
+    assert manifest.prepared_dir == ""
+    capsys.readouterr()
+    assert _run(["evaluate", "--run", str(run)]) == 1
+    assert "error: manifest has no prepared_dir; pass --prepared" in capsys.readouterr().err
+    assert _run(["evaluate", "--run", str(run), "--prepared", str(prep)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 4  # recall and NDCG at the default cutoffs, 10 and 20
+    assert out == [f"test {key} {value:.6f}"
+                   for key, value in sorted(manifest.test_metrics.items()) if "@" in key]
 
 
 def test_train_evaluate_ablate(pipeline, capsys):

@@ -66,6 +66,18 @@ def test_hard_validation_errors():
         ({"max_epochs": 0}, "max_epochs must be >= 1, got 0"),
         ({"dropout": 1.0}, "dropout must be in [0, 1), got 1.0"),
         ({"dropout": -0.5}, "dropout must be in [0, 1), got -0.5"),
+        # Every float is finite; NaN keeps its range rule's message (above).
+        ({"lr": float("inf")}, "lr must be finite, got inf"),
+        ({"l2_weight": float("inf")}, "l2_weight must be finite, got inf"),
+        ({"na_weight": float("inf")}, "na_weight must be finite, got inf"),
+        ({"temperature": float("inf")}, "temperature must be finite, got inf"),
+        # The type rule, whichever way the config is made.
+        ({"batch_size": 2.5}, "config key 'batch_size': expected an integer, got 2.5"),
+        ({"seed": 1.5}, "config key 'seed': expected an integer, got 1.5"),
+        ({"eval_topn": (10.0,)}, "config key 'eval_topn': expected a list of integers"),
+        ({"eval_topn": 5}, "config key 'eval_topn': expected a list of integers, got 5"),
+        ({"use_visual": "no"}, "config key 'use_visual': expected a boolean, got 'no'"),
+        ({"lr": "0.1"}, "config key 'lr': expected a number, got '0.1'"),
     ]
     for values, message in bad:
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -171,6 +171,16 @@ def test_make_split_ratio_rules():
         assert counts(u)[0] >= 1
 
 
+@pytest.mark.parametrize("ratios", [(0, 0.5, 0.5), (0, 0, 1)])
+def test_make_split_keeps_one_row_per_role_at_a_zero_train_share(ratios):
+    edges = [(u, i) for u, count in enumerate([3, 4, 5, 10]) for i in range(count)]
+    split = make_split(_table(4, 10, edges), ratios=ratios, seed=3)
+    for u in range(4):
+        roles = split.roles[split.edges[:, 0] == u]
+        for role in (ROLE_TRAIN, ROLE_VAL, ROLE_TEST):
+            assert (roles == role).sum() >= 1, (u, role)
+
+
 def test_make_split_determinism_bytes(tmp_path):
     rng = np.random.default_rng(1)
     edges = [(u, i) for u in range(30) for i in rng.choice(50, size=8, replace=False)]

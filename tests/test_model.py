@@ -676,13 +676,13 @@ def test_build_na_batch_matches_per_anchor_loop():
             cols = np.sort(rng_graph.choice(np.delete(np.arange(n), m), size=deg, replace=False))
             rows.append((cols, rng_graph.choice([0.0, 0.5, 1.0], size=deg)))
         g = SparseGraph.from_rows(n, rows)
-        positive = positive_subgraph(g)
         for dtype in (np.float32, np.float64):
+            positive = positive_subgraph(g, dtype)
             for num_anchors in (1, n // 2 + 1, n):
                 rng_ref = np.random.default_rng(1000 + case)
                 rng_new = np.random.default_rng(1000 + case)
                 ref = _na_batch_loop(g, rng_ref, num_anchors, dtype)
-                out = build_na_batch(positive, rng_new, num_anchors, dtype)
+                out = build_na_batch(positive, rng_new, num_anchors)
                 assert rng_new.bit_generator.state == rng_ref.bit_generator.state
                 if ref is None:
                     assert out is None

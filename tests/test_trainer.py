@@ -275,6 +275,20 @@ def test_fit_aborts_on_nonfinite_loss(tmp_path):
     assert len(dump["users"]) > 0
 
 
+def test_a_finished_run_leaves_no_older_nan_batch(tmp_path):
+    data = _tiny_data()
+    cfg = _tiny_config(na_weight=0.0, max_epochs=2)
+    bad = np.full_like(data.features_visual.values, np.nan)
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfigWarning)
+        with pytest.raises(TrainingAborted):
+            fit(cfg, data.table, bad, data.features_textual, out_dir=str(out))
+        assert (out / "nan_batch.npz").exists()
+        fit(cfg, data.table, data.features_visual, data.features_textual, out_dir=str(out))
+    assert sorted(os.listdir(out)) == ["checkpoint.tmc", "epochs.csv", "manifest.json"]
+
+
 def test_fit_disables_alignment_on_weightless_graph():
     data = _tiny_data()
     cfg = _tiny_config(max_epochs=2)
@@ -301,9 +315,9 @@ def test_fit_builds_one_positive_view_per_run(monkeypatch):
     graph, _, _ = _quiet_graph(cfg, data)
     calls = []
 
-    def counted(g, build=model_module.positive_subgraph):
-        calls.append(g)
-        return build(g)
+    def counted(g, dtype=np.float64, build=model_module.positive_subgraph):
+        calls.append((g, dtype))
+        return build(g, dtype)
 
     # Both names: model's own helpers call it through their module.
     monkeypatch.setattr(model_module, "positive_subgraph", counted)
@@ -311,7 +325,8 @@ def test_fit_builds_one_positive_view_per_run(monkeypatch):
     for mode in ("independent", "bpr_batch"):
         calls.clear()
         manifest = _quiet_fit(replace(cfg, na_anchor_mode=mode), data, na_graph=graph)
-        assert len(calls) == 1 and calls[0] is graph, mode
+        # One view, in the run's dtype, so no slice casts its weights.
+        assert len(calls) == 1 and calls[0][0] is graph and calls[0][1] is np.float32, mode
         assert all(row["loss_na"] > 0.0 for row in manifest.epochs), mode
 
 
