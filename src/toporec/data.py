@@ -29,6 +29,7 @@ __all__ = [
     "FeatureMatrix",
     "load_interactions",
     "make_split",
+    "is_member",
     "sample_bpr_triples",
     "read_exact",
     "read_end",
@@ -56,7 +57,7 @@ class InteractionTable:
     item_tokens: list
     edges: np.ndarray  # (n, 2) int64 rows of (user, item)
     roles: np.ndarray  # (n,) int8, ROLE_* values
-    _train_keys: np.ndarray = field(default=None, repr=False, compare=False)
+    _pair_keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _warned_saturated: set = field(default_factory=set, repr=False, compare=False)
 
     def __post_init__(self):
@@ -77,12 +78,13 @@ class InteractionTable:
     def role_edges(self, role):
         return self.edges[self.roles == role]
 
-    def train_keys(self):
-        """Sorted distinct keys user * num_items + item of the train edges."""
-        if self._train_keys is None:
-            train = self.role_edges(ROLE_TRAIN)
-            self._train_keys = np.unique(train[:, 0] * self.num_items + train[:, 1])
-        return self._train_keys
+    def pair_keys(self, *roles):
+        """Sorted distinct keys user * num_items + item of the edges with
+        these roles, built once per table and role tuple."""
+        if roles not in self._pair_keys:
+            pairs = self.edges[np.isin(self.roles, roles)]
+            self._pair_keys[roles] = np.unique(pairs[:, 0] * self.num_items + pairs[:, 1])
+        return self._pair_keys[roles]
 
     def split_counts(self):
         return {
@@ -215,13 +217,12 @@ def make_split(table, ratios=(0.8, 0.1, 0.1), seed=0):
             continue
         n_test = max(1, int(n * ratios[2]))
         n_val = max(1, int(n * ratios[1]))
+        # n >= 3, so the loop stops at n_val = n_test = 1 at the latest.
         while n_val + n_test >= n:
             if n_test > 1:
                 n_test -= 1
-            elif n_val > 1:
-                n_val -= 1
             else:
-                break
+                n_val -= 1
         perm = rng.permutation(n)
         roles[rows[perm[:n_test]]] = ROLE_TEST
         roles[rows[perm[n_test:n_test + n_val]]] = ROLE_VAL
@@ -233,6 +234,11 @@ def make_split(table, ratios=(0.8, 0.1, 0.1), seed=0):
         edges=table.edges.copy(),
         roles=roles,
     )
+
+
+def is_member(keys, query):
+    """Whether each query value is in keys, a sorted non-empty array."""
+    return keys[np.minimum(np.searchsorted(keys, query), len(keys) - 1)] == query
 
 
 def sample_bpr_triples(table, batch_size, rng):
@@ -247,18 +253,14 @@ def sample_bpr_triples(table, batch_size, rng):
     if len(train_edges) == 0:
         raise ValueError("train split is empty; run make_split first")
     n = table.num_items
-    owned = table.train_keys()
-
-    def is_owned(keys):
-        return owned[np.minimum(np.searchsorted(owned, keys), len(owned) - 1)] == keys
-
+    owned = table.pair_keys(ROLE_TRAIN)
     picks = rng.integers(0, len(train_edges), size=batch_size)
     users = train_edges[picks, 0]
     pos = train_edges[picks, 1]
     negs = rng.integers(0, n, size=batch_size)
     keep = np.ones(batch_size, dtype=bool)
     # Only rows whose first draw hits a train item redraw, in row order.
-    for k in np.flatnonzero(is_owned(users * n + negs)).tolist():
+    for k in np.flatnonzero(is_member(owned, users * n + negs)).tolist():
         u = int(users[k])
         if np.searchsorted(owned, (u + 1) * n) - np.searchsorted(owned, u * n) >= n:
             if u not in table._warned_saturated:
@@ -267,7 +269,7 @@ def sample_bpr_triples(table, batch_size, rng):
             keep[k] = False
             continue
         j = int(rng.integers(0, n))
-        while is_owned(u * n + j):
+        while is_member(owned, u * n + j):
             j = int(rng.integers(0, n))
         negs[k] = j
     return TripleBatch(users=users[keep], pos_items=pos[keep], neg_items=negs[keep])

@@ -122,6 +122,8 @@ class SparseGraph:
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         weights = np.asarray(weights, dtype=np.float64)
+        if not len(src) == len(dst) == len(weights):
+            raise ValueError(f"{len(src)} sources, {len(dst)} targets but {len(weights)} weights")
         if len(src) and (src.min() < 0 or src.max() >= num_nodes):
             raise ValueError("source index out of range")
         order = np.lexsort((dst, src))

@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .data import ROLE_TEST, ROLE_TRAIN, ROLE_VAL, write_file
+from .data import ROLE_TEST, ROLE_TRAIN, ROLE_VAL, is_member, write_file
 from .itemgraph import top_k_entries
 
 __all__ = [
@@ -70,8 +70,6 @@ def evaluate(z_users, z_items, table, split, ns=(10, 20), block_size=512):
     excluded from the average. Every value equals what ranked_list,
     recall_at and ndcg_at give user by user, summed in user order.
     """
-    import scipy.sparse as sp  # deferred; see the package docstring
-
     role = {"val": ROLE_VAL, "test": ROLE_TEST}.get(split)
     if role is None:
         raise ValueError(f"split must be 'val' or 'test', got {split!r}")
@@ -82,26 +80,24 @@ def evaluate(z_users, z_items, table, split, ns=(10, 20), block_size=512):
         raise ValueError(f"cutoffs must be >= 1, got {ns}")
     num_items = table.num_items
     top = min(max(ns), num_items)
-    edge_users, edge_items = table.edges.T
 
-    # Distinct relevant (user, item) pairs as sorted keys user * num_items + item.
-    in_split = table.roles == role
-    relevant = np.unique(edge_users[in_split] * num_items + edge_items[in_split])
+    # (user, item) sets as sorted keys user * num_items + item.
+    relevant = table.pair_keys(role)
     users, num_relevant = np.unique(relevant // num_items, return_counts=True)
     if not len(users):
         raise ValueError(f"split {split!r} has no interactions to evaluate")
-    hidden = np.isin(table.roles, [ROLE_TRAIN] if role == ROLE_VAL else [ROLE_TRAIN, ROLE_VAL])
-    mask = sp.csr_matrix(
-        (np.ones(int(hidden.sum()), dtype=bool), (edge_users[hidden], edge_items[hidden])),
-        shape=(table.num_users, num_items),
-    )
+    hidden = table.pair_keys(*((ROLE_TRAIN,) if role == ROLE_VAL else (ROLE_TRAIN, ROLE_VAL)))
 
     hits = np.empty((len(users), top), dtype=bool)
     for start in range(0, len(users), block_size):
         chunk = users[start:start + block_size]
         scores = z_users[chunk] @ z_items.T
-        block = mask[chunk]
-        scores[np.repeat(np.arange(len(chunk)), np.diff(block.indptr)), block.indices] = -np.inf
+        # The hidden keys from the block's first user to its last, kept
+        # where their user is in the block.
+        lo, hi = np.searchsorted(hidden, [chunk[0] * num_items, (chunk[-1] + 1) * num_items])
+        cut = hidden[lo:hi]
+        cut = cut[is_member(chunk, cut // num_items)]
+        scores[np.searchsorted(chunk, cut // num_items), cut % num_items] = -np.inf
         # NaN ranks after every item, as in a stable descending sort.
         np.copyto(scores, -np.inf, where=np.isnan(scores))
         # Each row's top columns come in ascending order, so a stable sort
@@ -112,8 +108,7 @@ def evaluate(z_users, z_items, table, split, ns=(10, 20), block_size=512):
         # A row ranks only its unmasked items; its tail past them is cut.
         available = np.isfinite(scores).sum(axis=1, keepdims=True)
         keys = chunk[:, None] * num_items + ranked
-        found = relevant[np.minimum(np.searchsorted(relevant, keys), len(relevant) - 1)] == keys
-        hits[start:start + len(chunk)] = found & (np.arange(top) < available)
+        hits[start:start + len(chunk)] = is_member(relevant, keys) & (np.arange(top) < available)
 
     # Gains from the scalar log2 that ndcg_at uses; cumsum adds position
     # by position from 0.0, in ndcg_at's order.

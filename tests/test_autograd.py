@@ -71,6 +71,8 @@ def test_broadcast_gradients():
     col = _leaf(rng, 5, 1)
     err = finite_diff_check(lambda: ag.tsum(ag.mul(ag.add(x, row), col)), [x, row, col])
     assert err < TOL
+    with pytest.raises(ValueError, match=r"add: cannot broadcast \(5, 3\) with \(4, 3\)"):
+        ag.add(x, _leaf(rng, 4, 3))
 
 
 @pytest.mark.parametrize(

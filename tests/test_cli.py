@@ -160,6 +160,28 @@ def test_prepare_rejects_a_file_that_mixes_split_and_plain_lines(pipeline, tmp_p
     assert not out.exists()
 
 
+def test_other_warnings_keep_pythons_format(pipeline, tmp_path, capsys, monkeypatch):
+    _, raw, _, _, _ = pipeline
+    lines = (raw / "interactions.txt").read_text().splitlines()
+    doubled = tmp_path / "doubled.txt"
+    doubled.write_text("".join(f"{line}\n" for line in lines + lines[:1]))
+    _show_warnings_on_stderr(monkeypatch)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert main([
+            "prepare",
+            "--interactions", str(doubled),
+            "--features-visual", str(raw / "features_visual.tmf"),
+            "--features-textual", str(raw / "features_textual.tmf"),
+            "--out", str(tmp_path / "prep"),
+        ]) == 0
+    warned = [line for line in capsys.readouterr().err.splitlines() if "Warning" in line]
+    assert len(warned) == 1
+    assert warned[0].endswith(f": UserWarning: {doubled}: dropped 1 duplicate interaction row(s)")
+    assert warned[0].startswith(os.path.join(os.path.dirname(toporec.__file__), "data.py:"))
+
+
 @pytest.mark.parametrize("ratios", ["0.8,0.1,0.1", "nan,a"], ids=["valid", "invalid"])
 def test_prepare_refuses_ratios_beside_a_split_column(pipeline, tmp_path, capsys, ratios):
     _, raw, prep, _, _ = pipeline

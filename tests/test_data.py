@@ -19,6 +19,7 @@ from toporec.data import (
     FeatureMatrix,
     InteractionTable,
     dataset_stats,
+    is_member,
     load_features,
     load_interactions,
     load_prepared,
@@ -171,7 +172,7 @@ def test_make_split_ratio_rules():
         assert counts(u)[0] >= 1
 
 
-@pytest.mark.parametrize("ratios", [(0, 0.5, 0.5), (0, 0, 1)])
+@pytest.mark.parametrize("ratios", [(0, 0.5, 0.5), (0, 0, 1), (0, 1, 0)])
 def test_make_split_keeps_one_row_per_role_at_a_zero_train_share(ratios):
     edges = [(u, i) for u, count in enumerate([3, 4, 5, 10]) for i in range(count)]
     split = make_split(_table(4, 10, edges), ratios=ratios, seed=3)
@@ -212,6 +213,26 @@ def test_split_counts_and_role_edges():
     table = _table(2, 3, [(0, 0), (0, 1), (1, 2)], roles=[0, 1, 2])
     assert table.split_counts() == {"train": 1, "val": 1, "test": 1}
     assert table.role_edges(ROLE_VAL).tolist() == [[0, 1]]
+
+
+@pytest.mark.parametrize(
+    "roles", [(ROLE_TRAIN,), (ROLE_VAL,), (ROLE_TEST,), (ROLE_TRAIN, ROLE_VAL)]
+)
+def test_pair_keys_are_the_sorted_distinct_pairs_of_the_roles(roles):
+    rng = np.random.default_rng(8)
+    edges = rng.integers(0, [6, 9], size=(60, 2))
+    table = _table(6, 9, edges, roles=rng.integers(0, 3, size=60))
+    pairs = table.edges[np.isin(table.roles, roles)]
+    keys = table.pair_keys(*roles)
+    assert np.array_equal(keys, np.unique(pairs[:, 0] * 9 + pairs[:, 1]))
+    assert table.pair_keys(*roles) is keys
+
+
+def test_is_member_matches_isin():
+    keys = np.array([3, 5, 6, 11, 20])
+    query = np.array([[0, 3, 4, 5], [6, 7, 20, 25]])
+    assert np.array_equal(is_member(keys, query), np.isin(query, keys))
+    assert is_member(keys, 11) and not is_member(keys, 21)
 
 
 def _train_sets(table):

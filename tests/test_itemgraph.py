@@ -41,6 +41,10 @@ def test_sparse_graph_validation():
         SparseGraph(3, [0, 1], [1], [1.0]).validate()
     with pytest.raises(ValueError, match="cover"):
         SparseGraph(2, [0, 1, 3], [1, 0], [1.0, 1.0]).validate()
+    with pytest.raises(ValueError, match="non-decreasing"):
+        SparseGraph(3, [0, 2, 1, 2], [1, 2], [1.0, 1.0]).validate()
+    with pytest.raises(ValueError, match="2 indices but 1 weights"):
+        SparseGraph(2, [0, 1, 2], [1, 0], [1.0]).validate()
     with pytest.raises(ValueError, match="out of range"):
         SparseGraph(2, [0, 1, 2], [1, 5], [1.0, 1.0]).validate()
     for bad in (-1.0, np.nan, np.inf):
@@ -67,6 +71,19 @@ def test_from_edges_rejects_sources_out_of_range():
             SparseGraph.from_edges(3, [0, bad], [1, 1], [1.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "dst, weights, message",
+    [
+        ([1, 2], [1.0, 2.0, 3.0], "2 sources, 2 targets but 3 weights"),
+        ([1, 2], [1.0], "2 sources, 2 targets but 1 weights"),
+        ([1], [1.0, 2.0], "2 sources, 1 targets but 2 weights"),
+    ],
+)
+def test_from_edges_rejects_arrays_of_different_lengths(dst, weights, message):
+    with pytest.raises(ValueError, match=message):
+        SparseGraph.from_edges(3, [0, 1], dst, weights)
+
+
 def test_from_rows_sorts_and_roundtrips():
     g = SparseGraph.from_rows(3, [([2, 1], [0.5, 0.25]), ([], []), ([0], [1.0])])
     cols, w = g.row(0)
@@ -78,6 +95,9 @@ def test_from_rows_sorts_and_roundtrips():
     rebuilt = SparseGraph.from_edges(3, src, dst, wts)
     assert graphs_equal(g, rebuilt)
     assert not graphs_equal(g, SparseGraph.from_rows(3, [([1], [1.0]), ([], []), ([], [])]))
+    assert graphs_equal(SparseGraph.from_rows(3, []), SparseGraph(3, [0, 0, 0, 0], [], []))
+    with pytest.raises(ValueError, match="row 1: 1 columns but 2 weights"):
+        SparseGraph.from_rows(3, [([2], [1.0]), ([0], [1.0, 2.0])])
 
 
 def test_row_neighbors_includes_self():
@@ -486,6 +506,14 @@ def test_tps_prune_report_csv(tmp_path):
     assert lines[0] == "node,kept,dropped,min_ts,max_ts"
     assert len(lines) == 4
     assert lines[2].startswith("1,0,0,,")  # empty row: no scores to report
+
+
+def test_prune_k_below_one_is_refused():
+    g = SparseGraph.from_rows(3, [([1, 2], [1.0, 1.0]), ([], []), ([0], [1.0])])
+    with pytest.raises(ValueError, match="prune k must be >= 1, got 0"):
+        tps_prune(g, 0)
+    with pytest.raises(ValueError, match="prune k must be >= 1, got 0"):
+        random_prune(g, 0, 0)
 
 
 def test_random_prune_degrees_and_determinism():

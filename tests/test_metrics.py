@@ -182,6 +182,8 @@ def test_evaluate_rejects_bad_split_and_empty():
         _scores_eval(scores, table, "train", (1,))
     with pytest.raises(ValueError, match="no interactions"):
         _scores_eval(scores, table, "test", (1,))
+    with pytest.raises(ValueError, match=r"cutoffs must be >= 1, got \(0,\)"):
+        _scores_eval(scores, table, "val", (0,))
 
 
 def test_evaluate_block_size_invariance():

@@ -172,6 +172,11 @@ def test_checkpoint_roundtrip(tmp_path):
     for name in arrays:
         assert loaded[name].dtype == arrays[name].dtype
         assert np.array_equal(loaded[name], arrays[name])
+    # other dtypes are stored as float64
+    save_checkpoint(path, {"counts": np.arange(6, dtype=np.int64).reshape(2, 3)})
+    loaded = load_checkpoint(path)["counts"]
+    assert loaded.dtype == np.float64
+    assert loaded.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
 
 
 def test_checkpoint_payloads_are_read_in_place(tmp_path):
@@ -209,6 +214,12 @@ def test_checkpoint_rejects_garbage(tmp_path):
     versioned.write_bytes(blob[:4] + b"\x09\x00" + blob[6:])
     with pytest.raises(ValueError, match="version"):
         load_checkpoint(versioned)
+
+    # magic, header, name length and name "w" take 13 bytes; the dtype code follows
+    coded = tmp_path / "code.tmc"
+    coded.write_bytes(blob[:13] + b"\x07" + blob[14:])
+    with pytest.raises(ValueError, match="unknown dtype code 7 for 'w'"):
+        load_checkpoint(coded)
 
 
 def test_checkpoint_cut_at_every_length_fails_naming_the_file(tmp_path):

@@ -275,6 +275,17 @@ def test_fit_aborts_on_nonfinite_loss(tmp_path):
     assert len(dump["users"]) > 0
 
 
+def test_fit_without_out_dir_aborts_naming_no_dump():
+    data = _tiny_data()
+    cfg = _tiny_config(na_weight=0.0, max_epochs=2)
+    bad = np.full_like(data.features_visual.values, np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfigWarning)
+        with pytest.raises(TrainingAborted) as info:
+            fit(cfg, data.table, bad, data.features_textual)
+    assert str(info.value) == "non-finite loss at epoch 0 step 0"
+
+
 def test_a_finished_run_leaves_no_older_nan_batch(tmp_path):
     data = _tiny_data()
     cfg = _tiny_config(na_weight=0.0, max_epochs=2)
