@@ -157,6 +157,8 @@ def top_k_entries(scores, k):
     pairs come in row-major order, columns ascending within a row.
     """
     n = scores.shape[1]
+    if not 1 <= k <= n:
+        raise ValueError(f"top-k needs 1 <= k <= {n} columns, got k={k}")
     # Every score at or above the k-th largest. Only rows where that is
     # more than k have ties at the k-th score to cut, keeping the
     # lowest-index tied columns until the row holds k.
@@ -234,8 +236,7 @@ def _c_contiguous(a):
 def _proposals(rows, n, width, dtype):
     """Empty (columns, scores) slots for `rows` rows that `_propose` fills
     from the column blocks of an n-column score matrix."""
-    blocks = range(0, n, _GRAM_ROWS)
-    slots = width * (len(blocks) - 1) + min(width, n - blocks[-1])
+    slots = sum(min(width, n - lo, _GRAM_ROWS) for lo in range(0, n, _GRAM_ROWS))
     return np.empty((rows, slots), dtype=np.int64), np.empty((rows, slots), dtype=dtype)
 
 
@@ -243,21 +244,19 @@ def _propose(cand_cols, cand_scores, sims, row0, col0, width):
     """Put the `width` best columns of each row of one block of scores, or
     all of them when the block is no wider, in the block's slots.
 
-    Row m keeps the proposals of column block b in the `width` slots from
-    b * width, so its proposed columns ascend along the row and
-    top_k_entries' tie rule carries over: the `width` best of a row's
-    proposals are its `width` best columns.
+    Row m keeps the proposals of column block b in the slots from
+    b * min(width, _GRAM_ROWS), so its proposed columns ascend along the
+    row and top_k_entries' tie rule carries over: the `width` best of a
+    row's proposals are its `width` best columns.
     """
-    slot = col0 // _GRAM_ROWS * width
+    take = min(width, sims.shape[1])
+    slot = col0 // _GRAM_ROWS * min(width, _GRAM_ROWS)
     for lo in range(0, len(sims), _TOPK_ROWS):
         part = _c_contiguous(sims[lo:lo + _TOPK_ROWS])
-        if part.shape[1] > width:
-            cols = top_k_entries(part, width)[1].reshape(len(part), width)
-        else:
-            cols = np.broadcast_to(np.arange(part.shape[1]), part.shape)
+        cols = top_k_entries(part, take)[1].reshape(len(part), take)
         rows = slice(row0 + lo, row0 + lo + len(part))
-        cand_cols[rows, slot:slot + cols.shape[1]] = col0 + cols
-        cand_scores[rows, slot:slot + cols.shape[1]] = np.take_along_axis(part, cols, 1)
+        cand_cols[rows, slot:slot + take] = col0 + cols
+        cand_scores[rows, slot:slot + take] = np.take_along_axis(part, cols, 1)
 
 
 def _cosines(values, norms, src, dst):

@@ -24,6 +24,8 @@ __all__ = [
     "write_metrics_json",
 ]
 
+_USER_BLOCK = 512  # users scored per (users x items) score array
+
 
 def ranked_list(scores, masked, n):
     """Top-n item indices for one score row.
@@ -62,7 +64,7 @@ def ndcg_at(ranked, relevant, n):
     return dcg / ideal
 
 
-def evaluate(z_users, z_items, table, split, ns=(10, 20), block_size=512):
+def evaluate(z_users, z_items, table, split, ns=(10, 20)):
     """All-ranking metrics for one split, averaged over its users.
 
     Train items are always masked; at test time validation items are
@@ -89,8 +91,8 @@ def evaluate(z_users, z_items, table, split, ns=(10, 20), block_size=512):
     hidden = table.pair_keys(*((ROLE_TRAIN,) if role == ROLE_VAL else (ROLE_TRAIN, ROLE_VAL)))
 
     hits = np.empty((len(users), top), dtype=bool)
-    for start in range(0, len(users), block_size):
-        chunk = users[start:start + block_size]
+    for start in range(0, len(users), _USER_BLOCK):
+        chunk = users[start:start + _USER_BLOCK]
         scores = z_users[chunk] @ z_items.T
         # The hidden keys from the block's first user to its last, kept
         # where their user is in the block.
@@ -121,10 +123,7 @@ def evaluate(z_users, z_items, table, split, ns=(10, 20), block_size=512):
         per_user[f"ndcg@{n}"] = dcg[:, min(n, top) - 1] / ideal[np.minimum(n, num_relevant) - 1]
     out = {"split": split, "num_users": len(users)}
     for key, values in per_user.items():
-        total = 0.0
-        for v in values.tolist():
-            total += v
-        out[key] = total / len(users)
+        out[key] = float(np.cumsum(values)[-1]) / len(users)  # added in user order
     return out
 
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,10 @@ from toporec.itemgraph import (
     topological_similarity,
     tps_prune,
 )
+from toporec.config import ConfigWarning, TrainConfig
+from toporec.synth import make_clustered_dataset, plant_cross_cluster_edges
+from toporec.trainer import build_item_graph
+from test_acceptance import DATA_SEED, SYNTH_KW
 
 
 def test_sparse_graph_validation():
@@ -137,6 +142,13 @@ def test_top_k_entries_matches_stable_sort():
             assert cols.tolist() == ref.ravel().tolist()
 
 
+def test_top_k_entries_rejects_k_outside_the_columns():
+    scores = np.zeros((2, 3))
+    for k in (0, -1, 4):
+        with pytest.raises(ValueError, match=f"1 <= k <= 3 columns, got k={k}"):
+            top_k_entries(scores, k)
+
+
 def test_knn_tie_breaks_toward_lower_index():
     feats = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     g = build_knn_graph(feats, 1)
@@ -206,6 +218,44 @@ def test_knn_ties_across_blocks_follow_tie_rule(binarize, n):
         assert cols.tolist() == chosen.tolist()
         expected = np.ones(k) if binarize else same[chosen].astype(float)
         assert w.tolist() == expected.tolist()
+
+
+def _stable_top_k(feats, k):
+    """Each row's k best other columns by a float64 stable argsort."""
+    feats = np.asarray(feats, dtype=np.float64)
+    unit = feats / np.linalg.norm(feats, axis=1, keepdims=True)
+    sims = unit @ unit.T
+    np.fill_diagonal(sims, -np.inf)
+    return np.sort(np.argsort(-sims, axis=1, kind="stable")[:, :k], axis=1)
+
+
+def test_knn_is_exact_when_2k_is_wider_than_a_block():
+    # 2k = 2050 proposals per row, more than one 2048-column block holds.
+    n, k = 2100, 1025
+    feats = np.random.default_rng(0).standard_normal((n, 8)).astype(np.float32)
+    g = build_knn_graph(feats, k)
+    assert g.indices.reshape(n, k).tolist() == _stable_top_k(feats, k).tolist()
+
+
+@pytest.mark.parametrize("k", [70, 100])
+def test_knn_with_k_wider_than_a_block_keeps_the_tie_rule(monkeypatch, k):
+    # Narrow blocks put 2k, and for the tied rows that `_exact_rows` redoes
+    # also k, past one block's columns. One-hot rows tie exactly.
+    monkeypatch.setattr(itemgraph, "_GRAM_ROWS", 64)
+    n = 300
+    labels = np.random.default_rng(46).integers(0, 6, size=n)
+    feats = np.eye(6)[labels]
+    redone = []
+    exact_rows = itemgraph._exact_rows
+
+    def spy_exact_rows(values, norms, rows, k):
+        redone.extend(rows.tolist())
+        return exact_rows(values, norms, rows, k)
+
+    monkeypatch.setattr(itemgraph, "_exact_rows", spy_exact_rows)
+    g = build_knn_graph(feats, k)
+    assert redone
+    assert g.indices.reshape(n, k).tolist() == _stable_top_k(feats, k).tolist()
 
 
 def test_knn_cosine_weights_when_not_binarized():
@@ -526,6 +576,34 @@ def test_random_prune_degrees_and_determinism():
     assert graphs_equal(pruned, again)
     other = random_prune(g, 3, 124)
     assert not graphs_equal(pruned, other)
+
+
+def _cross_cluster_share(graph, clusters):
+    src, dst, w = graph.to_edges()
+    positive = w > 0
+    return np.mean(clusters[src[positive]] != clusters[dst[positive]])
+
+
+def test_tps_removes_planted_cross_cluster_edges():
+    # Gate 07's data and planted-noise graph. TPS must cut the share of
+    # positive edges between clusters well below random pruning's at the
+    # same k (about 12-23% against 37-41%), and below the unplanted
+    # graph's (27%).
+    data = make_clustered_dataset(seed=DATA_SEED, **SYNTH_KW)
+    clusters = data.item_clusters
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfigWarning)
+        _, fused, _ = build_item_graph(
+            TrainConfig(knn_k=5), data.features_visual.values, data.features_textual.values
+        )
+    noisy = plant_cross_cluster_edges(fused, clusters, 0.2, seed=DATA_SEED)
+    fused_share = _cross_cluster_share(fused, clusters)
+    assert _cross_cluster_share(noisy, clusters) > fused_share
+    for k in (3, 5, 8):
+        pruned = _cross_cluster_share(tps_prune(noisy, k)[0], clusters)
+        randomly = _cross_cluster_share(random_prune(noisy, k, 0), clusters)
+        assert pruned < 0.7 * randomly, (k, pruned, randomly)
+        assert pruned < fused_share, (k, pruned, fused_share)
 
 
 def test_corrupt_graph_identity_and_full_replacement():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import ndcg_oracle, rank_oracle, recall_oracle
+from toporec import metrics
 from toporec.data import InteractionTable, ROLE_TEST, ROLE_TRAIN, ROLE_VAL
 from toporec.metrics import (
     evaluate,
@@ -186,7 +187,7 @@ def test_evaluate_rejects_bad_split_and_empty():
         _scores_eval(scores, table, "val", (0,))
 
 
-def test_evaluate_block_size_invariance():
+def test_evaluate_block_size_invariance(monkeypatch):
     rng = np.random.default_rng(53)
     edges = []
     for u in range(30):
@@ -199,7 +200,8 @@ def test_evaluate_block_size_invariance():
     z_users = rng.standard_normal((30, 8))
     z_items = rng.standard_normal((50, 8))
     full = evaluate(z_users, z_items, table, "test", (5, 10))
-    chunked = evaluate(z_users, z_items, table, "test", (5, 10), block_size=7)
+    monkeypatch.setattr(metrics, "_USER_BLOCK", 7)
+    chunked = evaluate(z_users, z_items, table, "test", (5, 10))
     assert full == chunked
     assert isinstance(full["recall@5"], float)
     assert isinstance(full["ndcg@10"], float)
@@ -226,7 +228,7 @@ def _reference_evaluate(scores, table, split, ns):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_evaluate_equals_per_user_definition_under_ties(dtype):
+def test_evaluate_equals_per_user_definition_under_ties(monkeypatch, dtype):
     rng = np.random.default_rng(57)
     for trial in range(6):
         num_users, num_items = 40, int(rng.integers(12, 40))
@@ -250,7 +252,8 @@ def test_evaluate_equals_per_user_definition_under_ties(dtype):
         for split in ("val", "test"):
             expected = _reference_evaluate(scores, table, split, ns)
             for block_size in (1, 7, 512):
-                got = evaluate(z_users, z_items, table, split, ns, block_size=block_size)
+                monkeypatch.setattr(metrics, "_USER_BLOCK", block_size)
+                got = evaluate(z_users, z_items, table, split, ns)
                 assert got == expected
                 assert list(got) == list(expected)
 
