@@ -18,6 +18,8 @@ no arithmetic operators: every op is a module-level function.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 __all__ = [
@@ -37,9 +39,27 @@ __all__ = [
     "weighted_infonce",
     "spmm",
     "finite_diff_check",
+    "no_grad",
 ]
 
 NORM_EPS = 1e-5  # added to each row's variance in encoder_layer's layer norm
+
+# Whether ops record their outputs' parents and backward functions;
+# no_grad switches it off for the length of a block.
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """A block in which no op records a graph: every output has no
+    parents and takes no gradient, so an op keeps no array for a backward.
+    The previous setting comes back on exit, also after an exception."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
 
 
 class Tensor:
@@ -140,6 +160,11 @@ def _topo_order(root):
     return order
 
 
+def _records(parents):
+    """Whether an op on `parents` records its output in the graph."""
+    return _recording and any(p.requires_grad for p in parents)
+
+
 def _from_op(values, parents, back):
     """Wrap values in a tensor recorded as the output of an op on parents.
 
@@ -148,10 +173,10 @@ def _from_op(values, parents, back):
     parent does not require a gradient, back may put None, and
     backward drops whatever it puts there. backward calls back at most
     once, then drops it. The node is recorded only when some parent
-    requires a gradient.
+    requires a gradient, outside a no_grad block.
     """
     out = Tensor(values)
-    if any(p.requires_grad for p in parents):
+    if _records(parents):
         out._parents = tuple(parents)
         out._back = back
         out.requires_grad = True
@@ -276,21 +301,23 @@ def encoder_layer(x, w, b, gain, bias):
     centred and divided by sqrt(its variance + NORM_EPS); a constant
     row normalizes to zeros, so the output there is just the bias. The
     backward gives the gradients of all five inputs in closed form and
-    skips x's product when x takes no gradient.
+    skips x's product when x takes no gradient. When the op records no
+    graph, the centred and output arrays reuse the product's buffer.
     """
     if x.cols != w.rows:
         raise ValueError(f"encoder_layer: inner dims differ, {x.shape} @ {w.shape}")
     xv, wv, gv = x.values, w.values, gain.values
+    parents = (x, w, b, gain, bias)
+    keep = _records(parents)
     d = wv.shape[1]
     t = xv @ wv
     t += b.values
     np.tanh(t, out=t)
-    xhat = t - t.mean(axis=1, keepdims=True)
+    xhat = np.subtract(t, t.mean(axis=1, keepdims=True), out=None if keep else t)
     inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat)[:, None] / d + NORM_EPS)
     xhat *= inv
-    out = xhat * gv
+    out = np.multiply(xhat, gv, out=None if keep else xhat)
     out += bias.values
-    parents = (x, w, b, gain, bias)
     needs = tuple(p.requires_grad for p in parents)
 
     def back(g):

@@ -12,6 +12,7 @@ a node drawn uniformly from the vertex set.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -429,12 +430,24 @@ def _mutual_information(total, size_m, size_n, overlap, log_base=None):
     return max(ts, 0.0)
 
 
+def _check_log_base(log_base):
+    """Refuse a base that would not rescale the MI by a positive finite
+    factor 1/ln(base): 1 divides by zero, 0 and below have no log, inf
+    scales every TS to 0, and a base below 1 makes every TS negative,
+    which the clamp at zero then flattens, so the ranking would change."""
+    if log_base is not None and not (
+        isinstance(log_base, numbers.Real) and math.isfinite(log_base) and log_base > 1
+    ):
+        raise ValueError(f"log_base must be a finite number above 1, got {log_base!r}")
+
+
 def topological_similarity(graph, m, n, log_base=None):
     """Mutual information between the closed neighborhoods of m and n.
 
     Natural log by default; log_base rescales (the induced ranking is
     invariant to the base).
     """
+    _check_log_base(log_base)
     nm = row_neighbors(graph, m)
     nn = row_neighbors(graph, n)
     overlap = np.intersect1d(nm, nn, assume_unique=True).size
@@ -451,12 +464,15 @@ class PruneReport:
     max_ts: np.ndarray
 
     def to_csv(self, path):
-        rows = []
-        for i in range(len(self.kept)):
-            lo = "" if np.isnan(self.min_ts[i]) else repr(float(self.min_ts[i]))
-            hi = "" if np.isnan(self.max_ts[i]) else repr(float(self.max_ts[i]))
-            rows.append(f"{i},{self.kept[i]},{self.dropped[i]},{lo},{hi}\n")
-        write_file(path, "node,kept,dropped,min_ts,max_ts\n", *rows)
+        """One row per node; a node with no out-edge has empty min_ts and max_ts."""
+        columns = (self.kept.tolist(), self.dropped.tolist(),
+                   map(_ts_text, self.min_ts.tolist()), map(_ts_text, self.max_ts.tolist()))
+        rows = map("{},{},{},{},{}\n".format, range(len(self.kept)), *columns)
+        write_file(path, "node,kept,dropped,min_ts,max_ts\n", "".join(rows))
+
+
+def _ts_text(ts):
+    return "" if math.isnan(ts) else repr(ts)
 
 
 def tps_prune(graph, k, log_base=None):
@@ -471,6 +487,7 @@ def tps_prune(graph, k, log_base=None):
 
     if k < 1:
         raise ValueError(f"prune k must be >= 1, got {k}")
+    _check_log_base(log_base)
     n = graph.num_nodes
     src, dst, w = graph.to_edges()
     # Row m of `hoods` is the 0/1 indicator of N_m; an edge's overlap is
@@ -478,14 +495,20 @@ def tps_prune(graph, k, log_base=None):
     hoods = sp.csr_matrix((np.ones(len(dst)), dst, graph.indptr), shape=(n, n)) + sp.identity(n)
     hoods.data[:] = 1.0
     overlap = np.asarray(hoods[src].multiply(hoods[dst]).sum(axis=1), dtype=np.int64).ravel()
-    sizes = hoods.getnnz(axis=1)
+    sizes = hoods.getnnz(axis=1).astype(np.int64)
     # Few distinct (|N_m|, |N_n|, overlap) triples occur; the scalar
-    # formula scores each once, so every edge gets its exact value.
-    triples, which = np.unique(
-        np.stack([sizes[src], sizes[dst], overlap], axis=1), axis=0, return_inverse=True
-    )
-    scores = [_mutual_information(n, *triple, log_base) for triple in triples.tolist()]
-    ts = np.array(scores, dtype=np.float64)[which.ravel()]
+    # formula scores each once, so every edge gets its exact value. Two
+    # sorts of int64 keys find them in lexicographic order: every part is
+    # below base = max |N| + 1, and a pair id below nnz, so the keys stay
+    # under (n + 1)^2 and nnz (n + 1), which fit for fewer than 2^31 nodes
+    # and 2^32 edges.
+    base = int(sizes.max(initial=0)) + 1
+    pairs, pair = np.unique(sizes[src] * base + sizes[dst], return_inverse=True)
+    keys, which = np.unique(pair * base + overlap, return_inverse=True)
+    size_m, size_n = np.divmod(pairs[keys // base], base)
+    triples = zip(size_m.tolist(), size_n.tolist(), (keys % base).tolist())
+    scores = [_mutual_information(n, *triple, log_base) for triple in triples]
+    ts = np.array(scores, dtype=np.float64)[which]
 
     degrees = graph.out_degrees()
     rank = np.arange(len(src)) - graph.indptr[src]
@@ -545,11 +568,16 @@ def corrupt_graph(graph, eps, seed):
 def save_graph(path, graph):
     """Write a TMG1 file: a `TMG1 <nodes> <edges>` header, then one
     `src dst weight` line per edge in row-major order."""
-    src, dst, w = graph.to_edges()
-    body = "".join(
-        f"{s} {d} {wt:.17g}\n" for s, d, wt in zip(src.tolist(), dst.tolist(), w.tolist())
-    )
-    write_file(path, f"TMG1 {graph.num_nodes} {graph.nnz}\n", body)
+    # Each node id and each distinct weight is formatted once. Weights are
+    # told apart by their bits, since -0.0 (written "-0") equals 0.0.
+    bits, which = np.unique(graph.weights.view(np.uint64), return_inverse=True)
+    weights = np.array([f"{w:.17g}\n" for w in bits.view(np.float64).tolist()], dtype=object)
+    ids = np.array([f"{m} " for m in range(graph.num_nodes)], dtype=object)
+    parts = np.empty((graph.nnz, 3), dtype=object)
+    parts[:, 0] = np.repeat(ids, graph.out_degrees())
+    parts[:, 1] = ids[graph.indices]
+    parts[:, 2] = weights[which]
+    write_file(path, f"TMG1 {graph.num_nodes} {graph.nnz}\n", "".join(parts.ravel().tolist()))
 
 
 def load_graph(path):

@@ -141,8 +141,11 @@ class MultimodalRecommender:
         return z_u, z_i, h_items
 
     def embeddings(self, features, s_ui, s_iu):
-        """Evaluation-mode user/item representation arrays."""
-        z_u, z_i, _ = self.forward(features, s_ui, s_iu)
+        """Evaluation-mode user/item representation arrays, computed under
+        `autograd.no_grad`, so no graph is recorded. With no LightGCN
+        layer the user array is the live `user_embed` parameter."""
+        with ag.no_grad():
+            z_u, z_i, _ = self.forward(features, s_ui, s_iu)
         return z_u.values, z_i.values
 
 

@@ -280,6 +280,23 @@ def test_constant_operand_takes_no_gradient_or_product():
     assert const._parents == () and not const.requires_grad
 
 
+def test_no_grad_records_nothing_and_restores_the_setting():
+    rng = np.random.default_rng(60)
+    a, b = _leaf(rng, 3, 2), _leaf(rng, 3, 2)
+    with ag.no_grad():
+        with ag.no_grad():
+            inner = ag.add(a, b)
+        outer = ag.mul(inner, b)  # the inner block's exit keeps the outer setting
+    for out in (inner, outer):
+        assert out._parents == () and out._back is None and not out.requires_grad
+    with pytest.raises(RuntimeError, match="inside the block"):
+        with ag.no_grad():
+            raise RuntimeError("inside the block")
+    assert ag._recording
+    out = ag.add(a, b)
+    assert out._parents == (a, b) and out.requires_grad
+
+
 def test_gradient_accumulates_when_tensor_reused():
     x = Tensor(np.array([[2.0, -1.0]]), requires_grad=True)
     ag.tsum(ag.mul(x, x)).backward()

@@ -1,6 +1,7 @@
 """Graph construction, topological-similarity pruning, and corruption."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -471,10 +472,20 @@ def test_topological_similarity_symmetry_and_log_base():
 
 def test_tps_prune_matches_oracle_selection():
     rng = np.random.default_rng(37)
+    cases = []
     for _ in range(25):
         n = int(rng.integers(5, 24))
-        dense = random_graph(rng, n, 6)
-        k = int(rng.integers(1, 4))
+        cases.append((random_graph(rng, n, 6), int(rng.integers(1, 4))))
+    # Every closed neighbourhood of a complete graph holds all n nodes,
+    # the largest size; a star's centre has out-degree n - 1.
+    complete = rng.choice([0.1, 0.9, 1.0], size=(9, 9))
+    np.fill_diagonal(complete, 0.0)
+    star = np.zeros((9, 9))
+    star[0, 1:] = rng.choice([0.1, 0.9, 1.0], size=8)
+    star[[3, 5], [0, 4]] = 1.0
+    cases += [(np.zeros((0, 0)), 1), (np.zeros((6, 6)), 2), (complete, 1), (complete, 3),
+              (star, 1), (star, 4)]
+    for dense, k in cases:
         pruned, _ = tps_prune(dense_to_graph(dense), k)
         assert graph_edge_set(pruned) == prune_oracle(dense, k)
 
@@ -547,6 +558,16 @@ def test_tps_prune_report_bounds_equal_scalar_scores():
             assert report.max_ts[m] == max(ts)
 
 
+def _report_csv_reference(report):
+    """The prune report's text, one row at a time."""
+    rows = ["node,kept,dropped,min_ts,max_ts\n"]
+    for i in range(len(report.kept)):
+        lo = "" if np.isnan(report.min_ts[i]) else repr(float(report.min_ts[i]))
+        hi = "" if np.isnan(report.max_ts[i]) else repr(float(report.max_ts[i]))
+        rows.append(f"{i},{report.kept[i]},{report.dropped[i]},{lo},{hi}\n")
+    return "".join(rows)
+
+
 def test_tps_prune_report_csv(tmp_path):
     g = SparseGraph.from_rows(3, [([1, 2], [1.0, 1.0]), ([], []), ([0], [1.0])])
     _, report = tps_prune(g, 1)
@@ -556,6 +577,25 @@ def test_tps_prune_report_csv(tmp_path):
     assert lines[0] == "node,kept,dropped,min_ts,max_ts"
     assert len(lines) == 4
     assert lines[2].startswith("1,0,0,,")  # empty row: no scores to report
+    # Byte for byte against the row-by-row text, on reports with rows of
+    # zero out-degree and on a 0-node report.
+    rng = np.random.default_rng(39)
+    graphs = [dense_to_graph(random_graph(rng, 40, 6)), SparseGraph.from_rows(0, [])]
+    assert (graphs[0].out_degrees() == 0).any()
+    for graph in graphs:
+        _, report = tps_prune(graph, 2)
+        report.to_csv(path)
+        assert path.read_bytes() == _report_csv_reference(report).encode()
+
+
+@pytest.mark.parametrize("log_base", [1.0, 0, -2.0, 0.5, math.inf, math.nan, "2"])
+def test_log_base_outside_its_domain_is_refused(log_base):
+    g = SparseGraph.from_rows(3, [([1, 2], [1.0, 1.0]), ([], []), ([0], [1.0])])
+    message = f"log_base must be a finite number above 1, got {log_base!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tps_prune(g, 1, log_base=log_base)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        topological_similarity(g, 0, 1, log_base=log_base)
 
 
 def test_prune_k_below_one_is_refused():
@@ -692,6 +732,25 @@ def test_graph_file_is_header_then_one_line_per_edge(tmp_path):
     assert path.read_text() == (
         "TMG1 3 3\n0 1 0.33333333333333331\n0 2 0.10000000000000001\n2 0 1\n"
     )
+    # Byte for byte against the edge-by-edge text: thousands of distinct
+    # cosine weights, weights that formatting tells apart by sign or
+    # exponent only, an edgeless graph and a 0-node graph.
+    cosines = build_knn_graph(np.random.default_rng(45).standard_normal((600, 16)), 10,
+                              binarize=False)
+    assert len(np.unique(cosines.weights)) > 2000
+    extremes = SparseGraph.from_rows(2, [([0, 1], [-0.0, 5e-324]), ([0, 1], [0.0, 1e300])])
+    for graph in (cosines, extremes, SparseGraph.from_rows(4, [([], [])] * 4),
+                  SparseGraph.from_rows(0, [])):
+        save_graph(path, graph)
+        src, dst, w = graph.to_edges()
+        want = f"TMG1 {graph.num_nodes} {graph.nnz}\n" + "".join(
+            f"{s} {d} {wt:.17g}\n" for s, d, wt in zip(src.tolist(), dst.tolist(), w.tolist())
+        )
+        assert path.read_bytes() == want.encode()
+    save_graph(path, extremes)
+    assert path.read_text().splitlines()[1:] == [
+        "0 0 -0", "0 1 4.9406564584124654e-324", "1 0 0", "1 1 1.0000000000000001e+300"
+    ]
     # Blank lines after the last edge, a missing final newline and CRLF
     # line ends all load.
     for body in ("0 1 0.5\n\n  \n", "0 1 0.5", "0 1 0.5\r\n"):

@@ -571,6 +571,29 @@ def test_encoder_layer_backward_runs_once_per_sweep(monkeypatch):
         assert all(d.dtype == np.float32 for d in d_params)
 
 
+@pytest.mark.parametrize("gcn_layers", [0, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embeddings_record_no_graph_and_match_a_recording_forward(dtype, gcn_layers):
+    model, _ = _model(dtype=dtype, gcn_layers=gcn_layers)
+    rng = np.random.default_rng(61)
+    feats = {"visual": rng.standard_normal((6, 5)), "textual": rng.standard_normal((6, 3))}
+    table = _table([(0, 0, ROLE_TRAIN), (1, 2, ROLE_TRAIN), (3, 5, ROLE_TRAIN)],
+                   num_users=4, num_items=6)
+    s_ui, s_iu = build_propagation_matrix(table, dtype=dtype)
+    recorded = model.forward(feats, s_ui, s_iu)
+    assert all(t.requires_grad for t in recorded)
+    z_u, z_i = model.embeddings(feats, s_ui, s_iu)
+    assert z_u.dtype == z_i.dtype == dtype
+    assert [z_u.tobytes(), z_i.tobytes()] == [t.values.tobytes() for t in recorded[:2]]
+    # With no LightGCN layer the user array is the live parameter, which
+    # fit copies before the optimizer moves it.
+    assert (z_u is model.params["user_embed"].values) == (gcn_layers == 0)
+    with ag.no_grad():
+        untaped = model.forward(feats, s_ui, s_iu)
+    assert all(t._parents == () for t in untaped)
+    assert untaped[2].values.tobytes() == recorded[2].values.tobytes()
+
+
 def test_eligible_anchor_items():
     g = SparseGraph.from_rows(
         4, [([1], [1.0]), ([], []), ([3], [0.0]), ([0, 1], [0.5, 0.0])]
