@@ -238,8 +238,13 @@ def cmd_evaluate(args):
     ckpt = _require(manifest.checkpoint_path, "checkpoint", "train")
     model.params.load_state(load_checkpoint(ckpt))
     s_ui, s_iu = build_propagation_matrix(table, cfg.numpy_dtype())
-    z_users, z_items = model.embeddings(features, s_ui, s_iu)
-    metrics = evaluate(z_users, z_items, table, args.split, ns=cfg.eval_topn)
+    # Finite weights can still be too large to score: fail on the file.
+    try:
+        with np.errstate(over="raise"):
+            z_users, z_items = model.embeddings(features, s_ui, s_iu)
+            metrics = evaluate(z_users, z_items, table, args.split, ns=cfg.eval_topn)
+    except FloatingPointError as exc:
+        raise ValueError(f"{ckpt}: its weights overflow {cfg.dtype} ({exc})") from None
     out_base = args.out or os.path.join(args.run, f"metrics_{args.split}")
     write_metrics_csv(out_base + ".csv", metrics)
     write_metrics_json(out_base + ".json", metrics)

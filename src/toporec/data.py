@@ -353,10 +353,13 @@ def load_features(path, modality, expected_rows=None):
             values = _read_array(fh, rows, cols, "<f4", path, "feature payload")
             read_end(fh, path)
         else:
-            try:
-                values = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
+            # An empty file is an error, not numpy's "no data" warning.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)
+                try:
+                    values = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+                except (ValueError, UserWarning) as exc:
+                    raise ValueError(f"{path}: {exc}") from None
             values = values.astype(np.float32)
     if expected_rows is not None and values.shape[0] != expected_rows:
         raise ValueError(

@@ -181,9 +181,10 @@ def top_k_entries(scores, k):
 # The float32 Gram matrix is screened in _GRAM_ROWS x _GRAM_ROWS blocks,
 # each pair of row blocks once; _TOPK_ROWS bounds the memory of each
 # selection, _F64_ROWS the feature rows held in float64 at a time, which
-# then stay in cache, and _PAIR_ROWS one batch of pairwise float64 dots.
-# Weights come from those dots, never from a block product, so no block
-# shape moves a weight's last bit.
+# then stay in cache, and _PAIR_ROWS one batch of pairwise float64 dots
+# and one chunk of rows screened again against every column. Weights
+# come from those dots, never from a block product, so no block shape
+# moves a weight's last bit.
 _GRAM_ROWS = 2048
 _TOPK_ROWS = 512
 _F64_ROWS = 128
@@ -207,19 +208,12 @@ def _screen_error(d):
     - the two sum to at most (d + 3) u / (1 - d u) when (3d + 1) u <= 1;
     - the float64 normalisation and rescoring err by about d 2^-53 each,
       under one more u for d < 2^27.
-    Wider rows get no bound, so every row is scored in float64.
+    Wider rows than 2^22 get no bound and are refused.
     """
     if d > 2 ** 22:
-        return math.inf
+        raise ValueError(f"feature rows of width {d} are wider than the float32 "
+                         f"screen's error bound allows (2^22)")
     return (d + 4) * _U32 / (1 - d * _U32)
-
-
-def _unit_rows(rows, norms):
-    """Scale float64 `rows` to unit length in place; all-zero rows (norm 0)
-    become +0.0, -0.0 entries included."""
-    np.divide(rows, norms[:, None], out=rows, where=norms[:, None] > 0)
-    rows[norms == 0] = 0.0
-    return rows
 
 
 def _c_contiguous(a):
@@ -234,11 +228,11 @@ def _c_contiguous(a):
     return out
 
 
-def _proposals(rows, n, width, dtype):
+def _proposals(rows, n, width):
     """Empty (columns, scores) slots for `rows` rows that `_propose` fills
     from the column blocks of an n-column score matrix."""
     slots = sum(min(width, n - lo, _GRAM_ROWS) for lo in range(0, n, _GRAM_ROWS))
-    return np.empty((rows, slots), dtype=np.int64), np.empty((rows, slots), dtype=dtype)
+    return np.empty((rows, slots), dtype=np.int64), np.empty((rows, slots), dtype=np.float32)
 
 
 def _propose(cand_cols, cand_scores, sims, row0, col0, width):
@@ -266,103 +260,37 @@ def _cosines(values, norms, src, dst):
     Each distinct pair is scored once, as the float64 dot of the
     lower-index row with the higher-index one divided by their norms in
     that order, so (m, n) and (n, m) get the same bits. Pairs with an
-    all-zero row score +0.0.
+    all-zero row score +0.0 and take no dot.
     """
     n = len(values)
     keys, which = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst),
                             return_inverse=True)
     lo, hi = keys // n, keys % n
-    out = np.empty(len(lo))
+    live = (norms[lo] > 0) & (norms[hi] > 0)
+    lo, hi = lo[live], hi[live]
+    dots = np.empty(len(lo))
     for p in range(0, len(lo), _PAIR_ROWS):
         a, b = lo[p:p + _PAIR_ROWS], hi[p:p + _PAIR_ROWS]
-        out[p:p + len(a)] = np.einsum("ij,ij->i", values[a], values[b], dtype=np.float64)
-    live = (norms[lo] > 0) & (norms[hi] > 0)
-    out[live] /= norms[lo[live]]
-    out[live] /= norms[hi[live]]
-    out[~live] = 0.0
+        dots[p:p + len(a)] = np.einsum("ij,ij->i", values[a], values[b], dtype=np.float64)
+    out = np.zeros(len(keys))
+    out[live] = dots / norms[lo] / norms[hi]
     return out[which]
 
 
-def _exact_rows(values, norms, rows, k):
-    """(src, dst) of the k best columns of each of `rows`, with every
-    column scored by a float64 product of unit rows; ties go to the lower
-    column. Each column block is normalised once and meets the rows
-    _F64_ROWS at a time."""
-    n = len(values)
-    cand_cols, cand_scores = _proposals(len(rows), n, k, np.float64)
-    for lo in range(0, n, _GRAM_ROWS):
-        right = _unit_rows(values[lo:lo + _GRAM_ROWS].astype(np.float64),
-                           norms[lo:lo + _GRAM_ROWS])
-        for p in range(0, len(rows), _F64_ROWS):
-            part = rows[p:p + _F64_ROWS]
-            sims = _unit_rows(values[part].astype(np.float64), norms[part]) @ right.T
-            own = np.flatnonzero((part >= lo) & (part < lo + len(right)))
-            sims[own, part[own] - lo] = -np.inf
-            _propose(cand_cols, cand_scores, sims, p, lo, k)
-    r, pos = top_k_entries(cand_scores, k)
-    return rows[r], cand_cols[r, pos]
+def _settle(values, norms, rows, cols, scores, k, delta):
+    """Each row's k best columns by the band rule: (src, dst) of the rows
+    it settles, and the ids of those it cannot.
 
-
-def build_knn_graph(features, k, binarize=True):
-    """Directed kNN graph under cosine similarity.
-
-    Each row keeps its k most similar other items; ties break toward the
-    lower item index. All-zero feature rows have zero similarity to
-    everything. With binarize=False edges carry the cosine value clipped
-    at zero instead of weight 1.
-
-    The cosines are screened in float32 and decided in float64. Rows are
-    normalised in float64 and kept as one float32 copy, whose Gram
-    matrix proposes each row's best min(2k, n) columns. With s_k the
-    row's k-th screen score and delta the bound of `_screen_error` on
-    how far a screen score lies from the float64 cosine, a proposed
-    column above s_k + 2 delta is kept and one below s_k - 2 delta is
-    dropped; only the columns in between are rescored by a float64
-    pairwise dot (`_cosines`), and the best of them fill the row. A row
-    whose band may reach past its proposals (ties, duplicate or all-zero
-    rows) is scored against every column in float64 instead
-    (`_exact_rows`). Every cosine weight comes from `_cosines`, so the
-    weights of (m, n) and (n, m) are equal to the last bit.
+    Row i of `scores` holds the float32 screen scores of the columns
+    `cols[i]` of row `rows[i]`: its best columns by the screen, ascending
+    along the row. With s_k the row's k-th score, its k-th float64 cosine
+    lies within delta of s_k, so a column more than 2 delta above s_k
+    beats it and one more than 2 delta below loses to it. A row none of
+    whose columns is below that band may have band columns it was not
+    given, so it is left unsettled.
     """
-    values = features.values if hasattr(features, "values") else np.asarray(features)
-    n, d = values.shape
-    if k < 1:
-        raise ValueError(f"knn k must be >= 1, got {k}")
-    if k >= n:
-        raise ValueError(f"knn k={k} needs more than {k} items, have {n}")
-    norms = np.empty(n)
-    screen = np.empty((n, d), dtype=np.float32)
-    for lo in range(0, n, _F64_ROWS):
-        block = values[lo:lo + _F64_ROWS].astype(np.float64)
-        block_norms = norms[lo:lo + _F64_ROWS]
-        np.sqrt((block * block).sum(axis=1), out=block_norms)
-        bad = np.flatnonzero(~np.isfinite(block_norms))
-        if bad.size:
-            raise ValueError(f"feature row {lo + bad[0]} has no finite norm")
-        screen[lo:lo + _F64_ROWS] = _unit_rows(block, block_norms)
-
-    width = min(2 * k, n)
-    cand_cols, cand_scores = _proposals(n, n, width, np.float32)
-    for i in range(0, n, _GRAM_ROWS):
-        block_i = screen[i:i + _GRAM_ROWS]
-        for j in range(i, n, _GRAM_ROWS):
-            gram = block_i @ screen[j:j + _GRAM_ROWS].T
-            if j == i:
-                np.fill_diagonal(gram, -np.inf)
-            _propose(cand_cols, cand_scores, gram, i, j, width)
-            if j > i:
-                _propose(cand_cols, cand_scores, gram.T, j, i, width)
-            del gram  # before the next product, so one block is live at a time
-    del screen
-    src, pos = top_k_entries(cand_scores, width)
-    cols = cand_cols[src, pos].reshape(n, width)
-    scores = cand_scores[src, pos].reshape(n, width).astype(np.float64)
-
-    # The row's k-th float64 cosine lies within delta of s_k, so a column
-    # more than 2 delta above s_k beats it and one more than 2 delta below
-    # loses to it. A row none of whose proposals is below the band may
-    # have band columns it never proposed.
-    delta = _screen_error(d)
+    scores = scores.astype(np.float64)
+    width = scores.shape[1]
     kth = np.partition(scores, width - k, axis=1)[:, [width - k]]
     above = scores > kth + 2 * delta
     below = scores < kth - 2 * delta
@@ -375,14 +303,80 @@ def build_knn_graph(features, k, binarize=True):
     contested = covered & (np.count_nonzero(band, axis=1) > places)
     decide = np.where(below, -np.inf, np.inf)
     r, c = np.nonzero(band & contested[:, None])
-    decide[r, c] = _cosines(values, norms, r, cols[r, c])
-    rows = np.flatnonzero(covered)
-    r, c = top_k_entries(decide[rows], k)
-    src, dst = rows[r], cols[rows[r], c]
-    redo = np.flatnonzero(~covered)
-    if redo.size:
-        redo_src, redo_dst = _exact_rows(values, norms, redo, k)
-        src, dst = np.concatenate([src, redo_src]), np.concatenate([dst, redo_dst])
+    decide[r, c] = _cosines(values, norms, rows[r], cols[r, c])
+    settled = np.flatnonzero(covered)
+    r, c = top_k_entries(decide[settled], k)
+    return rows[settled[r]], cols[settled[r], c], rows[~covered]
+
+
+def build_knn_graph(features, k, binarize=True):
+    """Directed kNN graph under cosine similarity.
+
+    Each row keeps its k most similar other items; ties break toward the
+    lower item index. All-zero feature rows have zero similarity to
+    everything. With binarize=False edges carry the cosine value clipped
+    at zero instead of weight 1.
+
+    The cosines are screened in float32 and decided in float64. Rows are
+    normalised in float64 and kept as one float32 copy, whose Gram
+    matrix proposes each row's best min(2k, n) columns. `_settle` keeps
+    the proposals above a band of half-width 2 delta around the row's
+    k-th screen score, drops those below it and fills the row's other
+    places from the band by float64 pairwise dots (`_cosines`), delta
+    being the bound of `_screen_error` on how far a screen score lies
+    from the float64 cosine. A row whose band may reach past its
+    proposals (ties, duplicate or all-zero rows) is screened again
+    against every column and settled by the same rule; its own column,
+    scored -inf, lies below any band, so every such row is settled.
+    Every kept column is thus among the row's k best by `_cosines`, and
+    every cosine weight comes from `_cosines`, so the weights of (m, n)
+    and (n, m) are equal to the last bit.
+    """
+    values = features.values if hasattr(features, "values") else np.asarray(features)
+    n, d = values.shape
+    if k < 1:
+        raise ValueError(f"knn k must be >= 1, got {k}")
+    if k >= n:
+        raise ValueError(f"knn k={k} needs more than {k} items, have {n}")
+    delta = _screen_error(d)
+    norms = np.empty(n)
+    screen = np.empty((n, d), dtype=np.float32)
+    for lo in range(0, n, _F64_ROWS):
+        block = values[lo:lo + _F64_ROWS].astype(np.float64)
+        block_norms = norms[lo:lo + _F64_ROWS]
+        np.sqrt((block * block).sum(axis=1), out=block_norms)
+        bad = np.flatnonzero(~np.isfinite(block_norms))
+        if bad.size:
+            raise ValueError(f"feature row {lo + bad[0]} has no finite norm")
+        # Unit rows; an all-zero row becomes +0.0, -0.0 entries included.
+        np.divide(block, block_norms[:, None], out=block, where=block_norms[:, None] > 0)
+        block[block_norms == 0] = 0.0
+        screen[lo:lo + _F64_ROWS] = block
+
+    width = min(2 * k, n)
+    cand_cols, cand_scores = _proposals(n, n, width)
+    for i in range(0, n, _GRAM_ROWS):
+        block_i = screen[i:i + _GRAM_ROWS]
+        for j in range(i, n, _GRAM_ROWS):
+            gram = block_i @ screen[j:j + _GRAM_ROWS].T
+            if j == i:
+                np.fill_diagonal(gram, -np.inf)
+            _propose(cand_cols, cand_scores, gram, i, j, width)
+            if j > i:
+                _propose(cand_cols, cand_scores, gram.T, j, i, width)
+            del gram  # before the next product, so one block is live at a time
+    src, pos = top_k_entries(cand_scores, width)
+    cols, scores = cand_cols[src, pos].reshape(n, width), cand_scores[src, pos].reshape(n, width)
+    ids = np.arange(n)
+    src, dst, redo = _settle(values, norms, ids, cols, scores, k, delta)
+    edges = [(src, dst)]
+    for p in range(0, len(redo), _PAIR_ROWS):
+        rows = redo[p:p + _PAIR_ROWS]
+        sims = screen[rows] @ screen.T
+        sims[np.arange(len(rows)), rows] = -np.inf
+        edges.append(_settle(values, norms, rows, np.broadcast_to(ids, sims.shape), sims,
+                             k, delta)[:2])
+    src, dst = map(np.concatenate, zip(*edges))
     weights = (np.ones(len(src)) if binarize
                else np.clip(_cosines(values, norms, src, dst), 0.0, None))
     return SparseGraph.from_edges(n, src, dst, weights)

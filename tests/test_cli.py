@@ -19,6 +19,7 @@ from toporec.cli import build_parser, main
 from toporec.config import ConfigWarning, TrainConfig
 from toporec.data import FeatureMatrix, load_prepared, save_features
 from toporec.itemgraph import load_graph
+from toporec.optim import load_checkpoint, save_checkpoint
 from toporec.synth import make_clustered_dataset
 from toporec.trainer import fit
 
@@ -629,15 +630,19 @@ def test_train_evaluate_ablate(pipeline, capsys):
     assert sorted(root.rglob("*.tmp")) == []
 
 
-def test_train_with_batch_anchors_on_every_modality(pipeline, tmp_path, capsys):
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_train_with_batch_anchors_on_every_modality(pipeline, tmp_path, capsys, dtype):
     _, _, prep, _, pruned = pipeline
     runs = [tmp_path / "a", tmp_path / "b"]
     for run in runs:
         assert _run(["train", "--prepared", str(prep), "--graph", str(pruned), "--out", str(run),
                      "--max-epochs", "3", "--embed-dim", "8", "--hidden-dim", "8",
                      "--batch-size", "64", "--na-anchor-mode", "bpr_batch",
-                     "--na-on-modalities", "true"]) == 0
+                     "--na-on-modalities", "true", "--dtype", dtype]) == 0
+    arrays = load_checkpoint(runs[0] / "checkpoint.tmc")
+    assert arrays and {a.dtype for a in arrays.values()} == {np.dtype(dtype)}
     manifest = json.loads((runs[0] / "manifest.json").read_text())
+    assert manifest["config"]["dtype"] == dtype
     assert manifest["config"]["na_anchor_mode"] == "bpr_batch"
     assert manifest["config"]["na_on_modalities"] is True
     assert len(manifest["epochs"]) == 3
@@ -773,6 +778,19 @@ def test_evaluate_names_a_damaged_manifest(trained, tmp_path, capsys):
     assert _run(["evaluate", "--run", str(run), "--out", str(tmp_path / "m")]) == 1
     err = capsys.readouterr().err
     assert f"error: {run / 'manifest.json'}: Expecting property name" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_evaluate_names_a_checkpoint_whose_scores_overflow(trained, tmp_path, capsys):
+    run = tmp_path / "huge"
+    shutil.copytree(trained, run)
+    arrays = load_checkpoint(run / "checkpoint.tmc")
+    arrays["item_embed"] *= np.float32(1e30)  # finite, but no score fits float32
+    save_checkpoint(run / "checkpoint.tmc", arrays)
+    capsys.readouterr()
+    assert _run(["evaluate", "--run", str(run), "--out", str(tmp_path / "m")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {run / 'checkpoint.tmc'}: its weights overflow float32" in err
     assert not (tmp_path / "m.json").exists()
 
 

@@ -359,7 +359,6 @@ def test_features_roundtrip_and_errors(tmp_path):
         load_features(short, "visual")
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt:UserWarning")
 def test_features_cut_at_every_length_fail_naming_the_file(tmp_path):
     path = tmp_path / "v.tmf"
     save_features(path, FeatureMatrix("visual", np.ones((3, 2), dtype=np.float32)))

@@ -187,6 +187,9 @@ def test_knn_zero_rows_and_errors():
         feats[2, 1] = bad
         with pytest.raises(ValueError, match="feature row 2 has no finite norm"):
             build_knn_graph(feats, 2)
+    # Refused before a row is read; np.zeros leaves the pages untouched.
+    with pytest.raises(ValueError, match="width 4194305"):
+        build_knn_graph(np.zeros((3, 2 ** 22 + 1), dtype=np.float32), 1)
 
 
 @pytest.mark.parametrize(
@@ -238,22 +241,29 @@ def test_knn_is_exact_when_2k_is_wider_than_a_block():
     assert g.indices.reshape(n, k).tolist() == _stable_top_k(feats, k).tolist()
 
 
+def _spy_full_width_rows(monkeypatch):
+    """A list that collects the rows `_settle` gets scored against every
+    column, that is, the rows the 2k proposals left unsettled."""
+    redone, settle = [], itemgraph._settle
+
+    def spy_settle(values, norms, rows, cols, scores, k, delta):
+        if scores.shape[1] == len(values):
+            redone.extend(rows.tolist())
+        return settle(values, norms, rows, cols, scores, k, delta)
+
+    monkeypatch.setattr(itemgraph, "_settle", spy_settle)
+    return redone
+
+
 @pytest.mark.parametrize("k", [70, 100])
 def test_knn_with_k_wider_than_a_block_keeps_the_tie_rule(monkeypatch, k):
-    # Narrow blocks put 2k, and for the tied rows that `_exact_rows` redoes
-    # also k, past one block's columns. One-hot rows tie exactly.
+    # Narrow blocks put 2k past one block's columns. One-hot rows tie
+    # exactly, so the tied rows are screened again against every column.
     monkeypatch.setattr(itemgraph, "_GRAM_ROWS", 64)
     n = 300
     labels = np.random.default_rng(46).integers(0, 6, size=n)
     feats = np.eye(6)[labels]
-    redone = []
-    exact_rows = itemgraph._exact_rows
-
-    def spy_exact_rows(values, norms, rows, k):
-        redone.extend(rows.tolist())
-        return exact_rows(values, norms, rows, k)
-
-    monkeypatch.setattr(itemgraph, "_exact_rows", spy_exact_rows)
+    redone = _spy_full_width_rows(monkeypatch)
     g = build_knn_graph(feats, k)
     assert redone
     assert g.indices.reshape(n, k).tolist() == _stable_top_k(feats, k).tolist()
@@ -282,20 +292,6 @@ def test_knn_cosine_weights_are_symmetric_across_blocks():
     crossing = [(m, c) for m, c in mutual if (m < block) != (c < block)]
     assert len(mutual) > 1000 and len(crossing) > 100
     assert [(m, c) for m, c in mutual if forward[(m, c)] != forward[(c, m)]] == []
-
-
-def test_knn_peak_memory_is_the_copy_and_one_gram_block():
-    # The float64 copy of the features and one block of cosines; the
-    # selection and the candidates fit in the margin.
-    feats = np.random.default_rng(35).standard_normal((3000, 256)).astype(np.float32)
-    bound = 1.25 * (feats.size * 8 + itemgraph._GRAM_ROWS ** 2 * 8)
-    tracemalloc.start()
-    try:
-        build_knn_graph(feats, 10)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < bound, f"peak {peak / 1e6:.1f} MB over {bound / 1e6:.1f} MB"
 
 
 def test_knn_float32_copy_peak_memory():
@@ -359,19 +355,14 @@ def test_knn_decides_near_ties_in_float64(monkeypatch, binarize):
     k = 5
     feats, crowded, zero = _near_tie_features(k)
     delta = itemgraph._screen_error(feats.shape[1])
-    band_pairs, redone = [], []
-    cosines, exact_rows = itemgraph._cosines, itemgraph._exact_rows
+    band_pairs, cosines = [], itemgraph._cosines
 
     def spy_cosines(values, norms, src, dst):
         band_pairs.append(len(src))
         return cosines(values, norms, src, dst)
 
-    def spy_exact_rows(values, norms, rows, k):
-        redone.extend(rows.tolist())
-        return exact_rows(values, norms, rows, k)
-
     monkeypatch.setattr(itemgraph, "_cosines", spy_cosines)
-    monkeypatch.setattr(itemgraph, "_exact_rows", spy_exact_rows)
+    redone = _spy_full_width_rows(monkeypatch)
     g = build_knn_graph(feats, k, binarize=binarize)
     assert band_pairs[0] > 0  # the first call rescores the contested bands
     assert set(crowded) | set(zero) <= set(redone)
@@ -399,6 +390,57 @@ def test_knn_decides_near_ties_in_float64(monkeypatch, binarize):
             assert np.abs(w - np.clip(sims[cols], 0.0, None)).max() <= 1e-12
     # The inputs do what they are for: float32 alone picks other columns.
     assert near_ties > 20 and float32_misses > 20
+
+
+def _cosine_top_k(feats, k):
+    """Each row's k best other columns by `_cosines`, ties to the lower
+    column, with their cosines. Only the columns within 1e-9 of the
+    row's k-th cosine by a BLAS product, a margin far wider than two
+    float64 cosines differ, are scored by `_cosines`: the others lie
+    clearly above or below."""
+    feats = np.asarray(feats, dtype=np.float64)
+    norms = np.sqrt((feats * feats).sum(axis=1))
+    unit = np.divide(feats, norms[:, None], out=np.zeros_like(feats), where=norms[:, None] > 0)
+    sims = unit @ unit.T
+    np.fill_diagonal(sims, -np.inf)
+    kth = -np.partition(-sims, k - 1, axis=1)[:, [k - 1]]
+    rows, cols = np.nonzero(sims >= kth - 1e-9)
+    cosines = itemgraph._cosines(feats, norms, rows, cols)
+    order = np.lexsort((cols, -cosines, rows))
+    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    kept = order[rank < k]
+    kept = kept[np.lexsort((cols[kept], rows[kept]))]
+    return cols[kept].reshape(-1, k), cosines[kept].reshape(-1, k)
+
+
+def _found_features():
+    """Integer multiples of four random directions: scaled duplicates tie
+    in the screen and differ in float64's last bits."""
+    rng = np.random.default_rng(1)
+    dirs = rng.standard_normal((4, 8))
+    labels = rng.integers(0, 4, 300)
+    scales = rng.integers(1, 5, 300)
+    return dirs[labels] * scales[:, None]
+
+
+def _one_hot_with_zero_rows():
+    labels = np.random.default_rng(47).integers(-1, 6, size=300)  # -1: all zero
+    feats = np.zeros((300, 6))
+    feats[labels >= 0, labels[labels >= 0]] = 1.0
+    return feats
+
+
+@pytest.mark.parametrize("make", [_found_features, _one_hot_with_zero_rows,
+                                  lambda: _near_tie_features(5)[0]],
+                         ids=["scaled-duplicates", "one-hot-and-zero", "near-ties"])
+def test_knn_keeps_each_rows_k_best_by_cosines(make):
+    # One rule for every row, whichever screen settled it: its k best
+    # other columns by `_cosines`, ties to the lower column.
+    feats, k = make(), 5
+    g = build_knn_graph(feats, k, binarize=False)
+    cols, cosines = _cosine_top_k(feats, k)
+    assert g.indices.reshape(-1, k).tolist() == cols.tolist()
+    assert g.weights.tolist() == np.clip(cosines, 0.0, None).ravel().tolist()
 
 
 def test_fuse_graphs_weighted_sum_and_union_pattern():
