@@ -357,7 +357,8 @@ def weighted_infonce(x, anchor_rows, weights, temperature):
     """Contrastive loss of anchor rows against all rows, weighted positives.
 
     Rows of x are scaled to unit norm; anchor a is row anchor_rows[a],
-    and no row is an anchor twice.
+    and no row is an anchor twice. weights is an (anchors, rows) scipy
+    CSR matrix of x's dtype that lists each column of a row at most once.
     With E[a, j] = exp(cos(a, j) / temperature), shifted by the row
     maximum, and the self entry E[a, anchor_rows[a]] set to 0, anchor a
     scores log(numer_a / denom_a) for numer_a = sum_j weights[a, j] E[a, j]
@@ -365,12 +366,16 @@ def weighted_infonce(x, anchor_rows, weights, temperature):
     anchors whose numer is positive; the others are dropped. Returns None
     when every anchor drops. For the k kept anchors, the gradient with
     respect to the logits is -(1/k)(weights * E / numer - E / denom),
-    chained through the row normalization.
+    chained through the row normalization; it differs from E / (k denom)
+    only at the stored entries of weights.
     """
     xv = x.values
     dtype = xv.dtype
-    weights = np.asarray(weights, dtype=dtype)
     anchor_rows = np.asarray(anchor_rows, dtype=np.int64)
+    n_anchors = len(anchor_rows)
+    # (row, column, weight) of each stored entry.
+    rows = np.repeat(np.arange(n_anchors), np.diff(weights.indptr))
+    cols, w = weights.indices, weights.data
     norms = np.sqrt(np.einsum("ij,ij->i", xv, xv))[:, None]
     inv = np.where(norms > 1e-12, 1.0 / np.where(norms > 1e-12, norms, 1.0), 0.0)
     normed = xv * inv
@@ -378,8 +383,9 @@ def weighted_infonce(x, anchor_rows, weights, temperature):
     e = scaled @ normed.T
     e -= e.max(axis=1, keepdims=True)
     np.exp(e, out=e)
-    e[np.arange(len(anchor_rows)), anchor_rows] = 0.0
-    numer = np.einsum("ij,ij->i", e, weights)
+    e[np.arange(n_anchors), anchor_rows] = 0.0
+    e_at = e[rows, cols]
+    numer = np.bincount(rows, weights=w * e_at, minlength=n_anchors).astype(dtype, copy=False)
     denom = e.sum(axis=1)
     kept = numer > 0
     k = int(np.count_nonzero(kept))
@@ -393,10 +399,10 @@ def weighted_infonce(x, anchor_rows, weights, temperature):
         inv_denom = np.zeros_like(denom)
         np.divide(c, numer, out=inv_numer, where=kept)
         np.divide(c, denom, out=inv_denom, where=kept)
-        # d loss / d logits, where logits = scaled @ normed.T.
-        d_logits = weights * -inv_numer[:, None]
-        d_logits += inv_denom[:, None]
-        d_logits *= e
+        # d loss / d logits, where logits = scaled @ normed.T, in E's buffer.
+        d_logits = e
+        d_logits *= inv_denom[:, None]
+        d_logits[rows, cols] = (w * -inv_numer[rows] + inv_denom[rows]) * e_at
         d_normed = d_logits.T @ scaled
         d_normed[anchor_rows] += d_logits @ normed * dtype.type(1.0 / temperature)
         proj = np.einsum("ij,ij->i", d_normed, normed)[:, None]

@@ -36,6 +36,7 @@ __all__ = [
     "joint_loss",
     "eligible_anchor_items",
     "positive_subgraph",
+    "sample_na_batch",
     "build_na_batch",
     "na_batch_from_items",
     "slice_na_batch",
@@ -187,18 +188,29 @@ def neighborhood_alignment_loss(reps, anchor_rows, anchor_weights, temperature=1
     reps holds the batch representations (one row per batch item);
     anchor_rows indexes the anchors within the batch, each row once;
     anchor_weights is the (anchors, batch) slice of the supervision
-    graph. For each anchor the loss is -log of (weighted similarity mass
-    of its edges) over (total similarity mass), self excluded on both
-    sides. Anchors with no positive in-batch weight are dropped from the
-    mean; if every anchor drops, the loss is 0 (with a warning).
+    graph, as a scipy sparse matrix or a dense array; a dense one is
+    converted to CSR here. For each anchor the loss is -log of (weighted
+    similarity mass of its edges) over (total similarity mass), self
+    excluded on both sides. Anchors with no positive in-batch weight are
+    dropped from the mean; if every anchor drops, the loss is 0 (with a
+    warning).
     """
+    import scipy.sparse as sp  # deferred; see the package docstring
+
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     batch_size = reps.rows
     if batch_size < 2:
         raise ValueError(f"alignment loss needs at least 2 batch items, got {batch_size}")
     anchor_rows = np.asarray(anchor_rows, dtype=np.int64)
-    weights = np.asarray(anchor_weights, dtype=reps.values.dtype)
+    dtype = reps.values.dtype
+    if sp.issparse(anchor_weights):
+        weights = anchor_weights.tocsr().astype(dtype, copy=False)
+        if not weights.has_canonical_format:
+            weights = weights.copy()
+            weights.sum_duplicates()
+    else:
+        weights = sp.csr_matrix(np.asarray(anchor_weights, dtype=dtype))
     if weights.shape != (len(anchor_rows), batch_size):
         raise ValueError(
             f"anchor weights shape {weights.shape} does not match "
@@ -207,13 +219,13 @@ def neighborhood_alignment_loss(reps, anchor_rows, anchor_weights, temperature=1
     if len(np.unique(anchor_rows)) != len(anchor_rows):
         raise ValueError("anchor rows must be distinct")
     # fmin skips NaN, as the comparison weights < 0 does.
-    if np.fmin.reduce(weights, axis=None, initial=0.0) < 0:
+    if np.fmin.reduce(weights.data, initial=0.0) < 0:
         raise ValueError("alignment weights must be non-negative")
 
     loss = ag.weighted_infonce(reps, anchor_rows, weights, temperature)
     if loss is None:
         warnings.warn("no anchor has an in-batch neighbor; alignment loss is 0")
-        return Tensor(np.zeros((1, 1), dtype=reps.values.dtype))
+        return Tensor(np.zeros((1, 1), dtype=dtype))
     return loss
 
 
@@ -246,15 +258,14 @@ def positive_subgraph(graph, dtype=np.float64):
     return mat.astype(dtype, copy=False)
 
 
-def build_na_batch(positive, rng, num_anchors):
+def sample_na_batch(positive, rng, num_anchors):
     """Sample alignment anchors and force one neighbor each into the batch.
 
     `positive` is `positive_subgraph(graph, dtype)`, which a caller
     sampling many batches builds once. Anchors are drawn uniformly without
     replacement from items with a positive-weight out-edge; each
-    contributes one uniformly chosen such neighbor. Returns (batch item
-    ids sorted unique, anchor positions within the batch, (anchors, batch)
-    weight slice in the CSR's dtype), or None when the graph has no
+    contributes one uniformly chosen such neighbor. Returns
+    `slice_na_batch`'s triple for them, or None when the graph has no
     eligible anchor.
     """
     counts = np.diff(positive.indptr)
@@ -269,13 +280,49 @@ def build_na_batch(positive, rng, num_anchors):
     return slice_na_batch(positive, anchors, np.unique(np.concatenate([anchors, partners])))
 
 
+def build_na_batch(positive, rng, num_anchors):
+    """`sample_na_batch` with the weights as a dense array."""
+    return _dense_weights(sample_na_batch(positive, rng, num_anchors))
+
+
 def na_batch_from_items(graph, item_ids, dtype=np.float32):
-    """Alignment batch over given items, every item serving as anchor."""
+    """Alignment batch over given items, every item serving as anchor, with
+    the weights as a dense array."""
     batch_ids = np.unique(np.asarray(item_ids, dtype=np.int64))
-    return slice_na_batch(positive_subgraph(graph, dtype), batch_ids, batch_ids)
+    return _dense_weights(slice_na_batch(positive_subgraph(graph, dtype), batch_ids, batch_ids))
+
+
+def _dense_weights(na):
+    # `fit` keeps the weights sparse; these two wrappers serve the callers
+    # that read the array (acceptance gate 01 and bench/spans.py).
+    if na is None:
+        return None
+    batch_ids, anchor_rows, weights = na
+    return batch_ids, anchor_rows, weights.toarray()
 
 
 def slice_na_batch(positive, anchors, batch_ids):
-    """Alignment batch of sorted `anchors` within sorted unique `batch_ids`, from CSR `positive`."""
-    weights = positive[anchors][:, batch_ids].toarray()
+    """Alignment batch of sorted `anchors` within sorted unique `batch_ids`,
+    read from the arrays of CSR `positive`: (batch_ids, the anchors'
+    positions in it, (anchors, batch) CSR of their weights to batch items,
+    in `positive`'s dtype).
+    """
+    import scipy.sparse as sp  # deferred; see the package docstring
+
+    starts = positive.indptr[anchors]
+    counts = positive.indptr[anchors + 1] - starts
+    bounds = np.zeros(len(anchors) + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    # Where each entry of the anchors' rows sits in positive's arrays.
+    entries = np.arange(bounds[-1]) + np.repeat(starts - bounds[:-1], counts)
+    cols = positive.indices[entries]
+    slots = np.searchsorted(batch_ids, cols)
+    # A column beyond the last batch item clips onto it and differs from it.
+    hit = batch_ids.take(slots, mode="clip") == cols
+    kept = np.zeros(len(hit) + 1, dtype=np.int64)
+    np.cumsum(hit, out=kept[1:])
+    weights = sp.csr_matrix(
+        (positive.data[entries[hit]], slots[hit], kept[bounds]),
+        shape=(len(anchors), len(batch_ids)),
+    )
     return batch_ids, np.searchsorted(batch_ids, anchors), weights

@@ -133,7 +133,8 @@ def save_checkpoint(path, arrays):
 
 
 def load_checkpoint(path):
-    """Read a TMC1 container back into {name: array}."""
+    """Read a TMC1 container back into {name: array}; a ValueError names
+    the file and the array when one holds a NaN or an infinity."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _CKPT_MAGIC:
@@ -155,5 +156,10 @@ def load_checkpoint(path):
                 raise ValueError(f"{path}: unknown dtype code {code} for {name!r}")
             dtype = _CODE_DTYPES[code]
             out[name] = _read_array(fh, rows, cols, dtype, path, f"payload of {name!r}")
+            # `train` never writes a non-finite weight. A NaN or an infinity
+            # shows in the minimum or the maximum, which need no temporary.
+            arr = out[name]
+            if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+                raise ValueError(f"{path}: array {name!r} holds non-finite values")
         read_end(fh, path)
     return out

@@ -28,7 +28,8 @@ from .config import TrainConfig, config_from_dict, validate_config, value_fits
 from .data import ROLE_TEST, ROLE_TRAIN, ROLE_VAL, sample_bpr_triples, write_file
 from .itemgraph import build_knn_graph, corrupt_graph, fuse_graphs, random_prune, tps_prune
 from .metrics import evaluate
-# eligible_anchor_items and na_batch_from_items: unused here, wrapped by name in bench/spans.py.
+# build_na_batch, eligible_anchor_items and na_batch_from_items: unused here,
+# wrapped by name in bench/spans.py.
 from .model import (  # noqa: F401
     ModelConfig,
     MultimodalRecommender,
@@ -40,6 +41,7 @@ from .model import (  # noqa: F401
     na_batch_from_items,
     neighborhood_alignment_loss,
     positive_subgraph,
+    sample_na_batch,
     slice_na_batch,
 )
 from .optim import adam_step, save_checkpoint
@@ -327,7 +329,7 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
             na_ids = None
             if positive is not None:
                 if cfg.na_anchor_mode == "independent":
-                    na = build_na_batch(positive, streams["anchors"], cfg.batch_size)
+                    na = sample_na_batch(positive, streams["anchors"], cfg.batch_size)
                 else:
                     ids = np.unique(np.concatenate([batch.pos_items, batch.neg_items]))
                     na = slice_na_batch(positive, ids, ids)

@@ -92,3 +92,24 @@ def test_rejects_a_base_without_the_bench(capsys, tmp_path):
         ab.main(["--base", str(tmp_path), "--workload", "accept", "--pairs", "1"],
                 runner=None)
     assert "has no bench/run.py" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("drop, lost, met", [
+    (5.0, 0, True),    # 10/10 wins, gap 5 beyond the base IQR of 4.5
+    (4.0, 0, False),   # 10/10 wins, but the gap is inside the IQR
+    (9.0, 2, False),   # a wide gap, but only 8/10 wins
+    (9.0, 1, True),    # 9/10 wins is enough
+])
+def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_base_iqr(
+        capsys, base, drop, lost, met):
+    before = [10.0 + p for p in range(10)]  # quartiles 12.25 and 16.75
+    after = [b - drop for b in before]
+    for p in range(lost):
+        after[p] = before[p] + 1.0
+    lines, summary = _run(capsys, base, StubRunner(base, {"base": before, "change": after}), 10)
+    # Lower is better for times and memory; recall read lower too.
+    assert summary["metrics"]["train_s"]["claim_met"] is met
+    assert summary["metrics"]["peak_rss_mb"]["claim_met"] is met
+    assert summary["metrics"]["test_recall_20"]["claim_met"] is False
+    train_line = next(line for line in lines if line.startswith("train_s:"))
+    assert train_line.endswith("; CLAIM MET") is met

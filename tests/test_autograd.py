@@ -332,7 +332,7 @@ def _step_tape(rng):
     gap = ag.sub(ag.tsum(ag.mul(z_u, ag.gather_rows(items, [0, 2, 4])), axis=1),
                  ag.tsum(ag.mul(z_u, ag.gather_rows(items, [1, 1, 5])), axis=1))
     bpr = ag.mul_const(ag.tsum(ag.softplus(neg(gap))), 1.0 / 3)
-    weights = np.array([[0, 1, 0, 0], [0.5, 0, 0, 0]], dtype=np.float32)
+    weights = sp.csr_matrix(np.array([[0, 1, 0, 0], [0.5, 0, 0, 0]], dtype=np.float32))
     na = ag.weighted_infonce(ag.gather_rows(items, [0, 2, 3, 5]), [0, 1], weights, 0.2)
     loss = ag.add(bpr, ag.mul_const(na, 0.5))
     tape, stack = {}, [loss]

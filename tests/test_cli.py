@@ -794,6 +794,20 @@ def test_evaluate_names_a_checkpoint_whose_scores_overflow(trained, tmp_path, ca
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_evaluate_refuses_a_checkpoint_with_a_non_finite_weight(trained, tmp_path, capsys, bad):
+    run = tmp_path / "nonfinite"
+    shutil.copytree(trained, run)
+    arrays = load_checkpoint(run / "checkpoint.tmc")
+    arrays["item_embed"][3, 1] = bad
+    save_checkpoint(run / "checkpoint.tmc", arrays)
+    capsys.readouterr()
+    assert _run(["evaluate", "--run", str(run), "--out", str(tmp_path / "m")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {run / 'checkpoint.tmc'}: array 'item_embed' holds non-finite values" in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_evaluate_refuses_features_of_another_width(pipeline, trained, tmp_path, capsys):
     _, _, prep, _, _ = pipeline
     wide = tmp_path / "prep_wide"

@@ -1,9 +1,11 @@
 """Encoder, propagation, and loss behavior of the recommender model."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import ref_ops
 import toporec.autograd as ag
@@ -27,6 +29,8 @@ from toporec.model import (
     na_batch_from_items,
     neighborhood_alignment_loss,
     positive_subgraph,
+    sample_na_batch,
+    slice_na_batch,
 )
 
 
@@ -448,10 +452,50 @@ def test_alignment_loss_matches_composed_ops():
         want = _composed_alignment_loss(reps, anchor_rows, weights, temperature)
         want.backward()
         want_grad, reps.grad = reps.grad, None
-        got = neighborhood_alignment_loss(reps, anchor_rows, weights, temperature)
-        got.backward()
-        assert abs(got.item() - want.item()) <= 1e-10 * abs(want.item())
-        assert np.abs(reps.grad - want_grad).max() <= 1e-10 * np.abs(want_grad).max()
+        # Dense, CSR, and a COO that stores each weight as two halves and
+        # every zero explicitly; the loss sums the halves into one entry.
+        r, c = np.nonzero(weights)
+        zr, zc = np.nonzero(weights == 0)
+        split = sp.coo_matrix(
+            (np.concatenate([weights[r, c] / 2, weights[r, c] / 2, np.zeros(len(zr))]),
+             (np.concatenate([r, r, zr]), np.concatenate([c, c, zc]))),
+            shape=weights.shape,
+        )
+        for given in (weights, sp.csr_matrix(weights), split):
+            got = neighborhood_alignment_loss(reps, anchor_rows, given, temperature)
+            got.backward()
+            assert abs(got.item() - want.item()) <= 1e-10 * abs(want.item())
+            assert np.abs(reps.grad - want_grad).max() <= 1e-10 * np.abs(want_grad).max()
+            reps.grad = None
+
+
+def test_alignment_batch_loss_and_backward_hold_one_logits_array():
+    # Baby's shape: 2,048 anchors on 7,050 items with 10 neighbours each,
+    # 64-d float32. The (anchors, batch) exponentiated logits are the one
+    # array of that size the loss needs; it takes the gradient in place.
+    rng = np.random.default_rng(31)
+    n, degree = 7050, 10
+    # Multiples 1..degree of a step below n / degree: distinct non-self columns.
+    steps = rng.integers(1, n // degree, size=(n, 1)) * np.arange(1, degree + 1)
+    cols = np.sort((np.arange(n)[:, None] + steps) % n, axis=1)
+    positive = sp.csr_matrix(
+        (rng.uniform(0.5, 1.0, n * degree).astype(np.float32), cols.ravel(),
+         np.arange(0, n * degree + 1, degree)),
+        shape=(n, n),
+    )
+    items = Tensor(rng.standard_normal((n, 64)).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        batch_ids, anchor_rows, weights = sample_na_batch(positive, rng, 2048)
+        loss = neighborhood_alignment_loss(ag.gather_rows(items, batch_ids), anchor_rows, weights)
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert items.grad is not None and 3000 < len(batch_ids) < 3600
+    logits = len(anchor_rows) * len(batch_ids) * np.dtype(np.float32).itemsize
+    assert peak < 2 * logits, f"peak {peak} bytes against {logits} of logits"
 
 
 def test_joint_loss_na_weight_zero_detaches_alignment():
@@ -705,12 +749,15 @@ def test_build_na_batch_matches_per_anchor_loop():
                 rng_ref = np.random.default_rng(1000 + case)
                 rng_new = np.random.default_rng(1000 + case)
                 ref = _na_batch_loop(g, rng_ref, num_anchors, dtype)
-                out = build_na_batch(positive, rng_new, num_anchors)
+                out = sample_na_batch(positive, rng_new, num_anchors)
                 assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+                dense = build_na_batch(positive, np.random.default_rng(1000 + case), num_anchors)
                 if ref is None:
-                    assert out is None
+                    assert out is None and dense is None
                     continue
-                _assert_same_na_batch(out, ref)
+                assert out[2].format == "csr" and out[2].dtype == dtype
+                _assert_same_na_batch((*out[:2], out[2].toarray()), ref)
+                _assert_same_na_batch(dense, ref)
             # Every pooled item is an anchor; repeats collapse.
             items = rng_graph.integers(0, n, size=n)
             batch_ids = np.unique(items)
@@ -726,3 +773,38 @@ def test_na_batch_from_items():
     assert weights[0].tolist() == [0.0, 1.0, 0.0]
     assert weights[1].tolist() == [0.5, 0.0, 0.0]
     assert weights[2].tolist() == [0.0, 0.0, 0.0]
+
+
+def _slice_cases():
+    """(positive, anchors, batch_ids) with empty rows, anchors with no
+    in-batch neighbour and neighbours on either side of the batch."""
+    rng = np.random.default_rng(23)
+    for case in range(60):
+        n = int(rng.integers(1, 40))
+        dense = rng.choice([0.0, 0.25, 1.0], size=(n, n), p=[0.8, 0.1, 0.1])
+        dense[rng.random(n) < 0.2] = 0.0
+        anchors = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+        extra = rng.choice(n, size=int(rng.integers(0, n + 1)))
+        batch_ids = np.unique(np.concatenate([anchors, extra])).astype(np.int64)
+        yield sp.csr_matrix(dense.astype([np.float32, np.float64][case % 2])), anchors, batch_ids
+    # Anchor 0's neighbours 1 and 2 are outside the batch, anchor 3 has
+    # none, and anchor 4's neighbours lie beyond the last batch item.
+    dense = np.zeros((8, 8))
+    dense[0, [1, 2]] = 1.0
+    dense[4, [6, 7]] = 0.5
+    dense[5, [0, 7]] = 2.0
+    yield sp.csr_matrix(dense), np.array([0, 3, 4, 5]), np.array([0, 3, 4, 5])
+
+
+def test_slice_na_batch_matches_the_scipy_slice():
+    for positive, anchors, batch_ids in _slice_cases():
+        ids, anchor_rows, weights = slice_na_batch(positive, anchors, batch_ids)
+        assert ids is batch_ids
+        assert anchor_rows.tolist() == [batch_ids.tolist().index(a) for a in anchors]
+        assert weights.format == "csr" and weights.dtype == positive.dtype
+        assert weights.shape == (len(anchors), len(batch_ids))
+        assert weights.has_canonical_format
+        want = positive[anchors][:, batch_ids].toarray()
+        assert np.array_equal(weights.toarray(), want)
+    assert weights.toarray().tolist() == [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0],
+                                          [2.0, 0, 0, 0]]

@@ -222,6 +222,17 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(coded)
 
 
+def test_checkpoint_with_a_non_finite_value_fails_naming_the_array(tmp_path):
+    path = tmp_path / "c.tmc"
+    for bad in (np.nan, np.inf, -np.inf):
+        for dtype in (np.float32, np.float64):
+            w = np.ones((3, 2), dtype=dtype)
+            w[2, 1] = bad
+            save_checkpoint(path, {"ok": np.zeros((0, 4)), "w": w})
+            with pytest.raises(ValueError, match=re.escape(f"{path}: array 'w' holds non-finite")):
+                load_checkpoint(path)
+
+
 def test_checkpoint_cut_at_every_length_fails_naming_the_file(tmp_path):
     good = tmp_path / "good.tmc"
     save_checkpoint(good, {"w": np.ones((2, 2), dtype=np.float32), "deep é": np.zeros((1, 1))})

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import warnings
 from dataclasses import asdict, fields, replace
@@ -377,6 +378,36 @@ def test_fit_alignment_options_rerun_bit_identical(tmp_path, option):
     assert runs[0].epochs == runs[1].epochs
     for name in ("epochs.csv", "checkpoint.tmc"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_batch_anchored_alignment_on_modalities_reruns_bit_identical(tmp_path, monkeypatch):
+    data = make_clustered_dataset(num_users=60, num_items=30, num_clusters=5, visual_dim=6,
+                                  textual_dim=4, interactions_low=5, interactions_high=8, seed=2)
+    data.table = make_split(data.table, seed=2)
+    cfg = _tiny_config(max_epochs=3, na_anchor_mode="bpr_batch", na_on_modalities=True)
+    graph, _, _ = _quiet_graph(cfg, data)
+    weights_seen = []
+
+    def sparse_only(reps, anchor_rows, weights, temperature,
+                    loss=trainer_module.neighborhood_alignment_loss):
+        weights_seen.append(weights)
+        return loss(reps, anchor_rows, weights, temperature)
+
+    # fit keeps each batch's weights sparse and never builds a dense one.
+    monkeypatch.setattr(trainer_module, "neighborhood_alignment_loss", sparse_only)
+    monkeypatch.setattr(model_module, "_dense_weights", None)
+    runs = [_quiet_fit(cfg, data, na_graph=graph, out_dir=str(tmp_path / name))
+            for name in ("a", "b")]
+    # Three terms a step: the fused encoding and each modality's branch.
+    assert len(weights_seen) == 2 * 3 * cfg.max_epochs * math.ceil(
+        len(data.table.role_edges(ROLE_TRAIN)) / cfg.batch_size)
+    assert all(w.format == "csr" and w.dtype == np.float32 for w in weights_seen)
+    assert all(row["loss_na"] > 0.0 for row in runs[0].epochs)
+    assert runs[0].epochs == runs[1].epochs
+    a, b = (load_checkpoint(tmp_path / name / "checkpoint.tmc") for name in ("a", "b"))
+    assert list(a) == list(b)
+    assert all(a[k].tobytes() == b[k].tobytes() for k in a)
+    assert (tmp_path / "a" / "epochs.csv").read_bytes() == (tmp_path / "b" / "epochs.csv").read_bytes()
 
 
 @pytest.mark.parametrize("gcn_layers", [0, 2])

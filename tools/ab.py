@@ -15,7 +15,10 @@ this tree's BENCHMARK.json.
 For each end-to-end metric it prints both sides' medians and quartiles,
 the pairs this tree won (ties count for neither side), and the gap of
 the medians against the base's interquartile range; for the metrics in
-HEAP_BOUND it adds each side's min-max. It says whether every run wrote
+HEAP_BOUND it adds each side's min-max. A metric's `claim_met` says
+whether this tree won at least nine tenths of the pairs and beat the
+base's median by more than the base's interquartile range, the rule
+for claiming a gain. It says whether every run wrote
 the base's first digests and whether failures rose. The last line of
 standard output is one JSON object.
 """
@@ -69,6 +72,14 @@ def wins(base, change, better):
     return sum(sign * (c - b) > 0 for b, c in zip(base, change))
 
 
+def claim_met(won, pairs, gain, base_iqr):
+    """Whether a gain may be claimed: the change won at least nine tenths
+    of the pairs, and its median is better than the base's by more than
+    the base's interquartile range (`gain` is the median gap in the
+    metric's better direction)."""
+    return won >= 0.9 * pairs and gain > base_iqr
+
+
 def _quartiles(values):
     if len(values) < 2:
         return values[0], values[0]
@@ -110,6 +121,7 @@ def summarise(workload, spec, runs):
         row["gap"] = _round(gap)
         row["gap_over_iqr"] = _round(gap / (q3 - q1)) if q3 > q1 else None
         row["within_bound"] = worse <= metric["bound"] * abs(base_median)
+        row["claim_met"] = claim_met(row["wins"], len(values["base"]), -worse, q3 - q1)
         summary["metrics"][name] = row
     return summary
 
@@ -122,7 +134,8 @@ def report(summary):
     for name, row in summary["metrics"].items():
         (bm, bq1, bq3), (cm, cq1, cq3) = row["base"], row["change"]
         line = (f"{name}: {bm} [{bq1}, {bq3}] -> {cm} [{cq1}, {cq3}], "
-                f"{row['wins']}/{n}, gap {row['gap']} ({row['gap_over_iqr']} IQR)")
+                f"{row['wins']}/{n}, gap {row['gap']} ({row['gap_over_iqr']} IQR)"
+                f"{'; CLAIM MET' if row['claim_met'] else ''}")
         if "base_range" in row:
             line += f"; ranges {row['base_range']} -> {row['change_range']}"
         if not row["within_bound"]:
