@@ -6,6 +6,11 @@ parent tensors and one backward function that maps the upstream
 gradient to a gradient per parent. ``backward`` runs a single
 topological sweep, calls each node's backward once, and accumulates
 gradients into the leaf tensors created with ``requires_grad=True``.
+The sweep holds a node only until its backward has run, so an
+intermediate output is freed as soon as nothing else refers to it, and
+an op records only what its backward cannot cheaply rebuild:
+``encoder_layer`` keeps its tanh output and two per-row vectors, and
+recomputes the normalised rows from them.
 
 float64 is the dtype for gradient checks, float32 the usual training
 dtype; ops follow the dtype of their inputs.
@@ -105,13 +110,17 @@ class Tensor:
 
         The sweep frees the graph as it goes: once a node's backward has
         run, the node drops its parents and its backward function, and
-        with them the arrays the op kept. A second call raises.
+        with them the arrays the op kept, and the sweep drops the node
+        itself. So an intermediate output that nothing else holds is
+        freed before the sweep reaches the nodes beneath it. A second
+        call raises.
         """
         if self.values.size != 1:
             raise ValueError(f"backward() needs a scalar loss, got shape {self.shape}")
         order = _topo_order(self)
         grads = {id(self): np.ones_like(self.values)}
-        for node in order:
+        while order:
+            node = order.pop()
             g = grads.pop(id(node), None)
             if g is None:
                 continue
@@ -139,8 +148,9 @@ _FREED = object()
 
 
 def _topo_order(root):
-    """Reachable nodes, outputs first (reverse topological). Raises when
-    one of them was freed by an earlier backward."""
+    """Reachable nodes, each after its parents (topological), so root
+    last: ``backward`` pops them from the end. Raises when one of them
+    was freed by an earlier backward."""
     order = []
     seen = {id(root)}
     stack = [(root, iter(root._parents))]
@@ -156,7 +166,6 @@ def _topo_order(root):
                 raise ValueError("backward: the graph was freed by an earlier backward")
             order.append(node)
             stack.pop()
-    order.reverse()
     return order
 
 
@@ -301,8 +310,14 @@ def encoder_layer(x, w, b, gain, bias):
     centred and divided by sqrt(its variance + NORM_EPS); a constant
     row normalizes to zeros, so the output there is just the bias. The
     backward gives the gradients of all five inputs in closed form and
-    skips x's product when x takes no gradient. When the op records no
-    graph, the centred and output arrays reuse the product's buffer.
+    skips x's product when x takes no gradient.
+
+    The output always takes the normalised rows' buffer. A recorded op
+    keeps the tanh output t and each row's mean and inverse scale, so it
+    holds two (rows, cols) arrays, t and the output, and its backward
+    rebuilds the normalised rows from t with the forward's own
+    operations, bit for bit. When the op records no graph, the
+    normalised rows reuse t's buffer as well.
     """
     if x.cols != w.rows:
         raise ValueError(f"encoder_layer: inner dims differ, {x.shape} @ {w.shape}")
@@ -313,15 +328,18 @@ def encoder_layer(x, w, b, gain, bias):
     t = xv @ wv
     t += b.values
     np.tanh(t, out=t)
-    xhat = np.subtract(t, t.mean(axis=1, keepdims=True), out=None if keep else t)
+    mean = t.mean(axis=1, keepdims=True)
+    xhat = np.subtract(t, mean, out=None if keep else t)
     inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat)[:, None] / d + NORM_EPS)
     xhat *= inv
-    out = np.multiply(xhat, gv, out=None if keep else xhat)
+    out = np.multiply(xhat, gv, out=xhat)
     out += bias.values
     needs = tuple(p.requires_grad for p in parents)
 
     def back(g):
         # backward calls back once, so it may overwrite the buffers it holds.
+        xhat = np.subtract(t, mean)
+        xhat *= inv
         d_gain = np.einsum("ij,ij->j", g, xhat)[None, :] if needs[3] else None
         d_bias = g.sum(axis=0, keepdims=True) if needs[4] else None
         da = g * gv

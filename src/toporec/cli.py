@@ -2,14 +2,18 @@
 evaluate, ablate, plus a synthetic-data generator for demos.
 
 Progress goes to stderr as key=value lines; results land in files. Every
-command exits 0 only when its artifacts were written and validated.
+command exits 0 only when its artifacts were written and validated. Each
+command returns the fields of its closing `event=` line, and `main` logs
+that line with the command's wall seconds and the process's peak RSS.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import resource
 import sys
+import time
 import warnings
 from dataclasses import fields, replace
 
@@ -47,10 +51,6 @@ from .trainer import (
 
 def _line(**kv):
     return " ".join(f"{k}={v}" for k, v in kv.items())
-
-
-def _log(**kv):
-    print(_line(**kv), file=sys.stderr)
 
 
 def _print_metrics(split, metrics):
@@ -118,8 +118,7 @@ def cmd_synth(args):
         )
     clusters = "".join(f"{c}\n" for c in data.item_clusters[order].tolist())
     write_file(os.path.join(args.out, "item_clusters.txt"), clusters)
-    _log(event="synth", users=args.users, items=args.items, out=args.out)
-    return 0
+    return dict(event="synth", users=args.users, items=args.items, out=args.out)
 
 
 def cmd_prepare(args):
@@ -147,12 +146,11 @@ def cmd_prepare(args):
         table.num_items,
     )
     stats = save_prepared(args.out, table, fv, ft)
-    _log(event="prepare", out=args.out, **{k: v for k, v in stats.items() if k != "splits"})
     print(
         f"users={stats['users']} items={stats['items']} "
         f"interactions={stats['interactions']} sparsity={stats['sparsity_pct']:.2f}%"
     )
-    return 0
+    return dict(event="prepare", out=args.out, **{k: v for k, v in stats.items() if k != "splits"})
 
 
 def cmd_build_graph(args):
@@ -160,8 +158,7 @@ def cmd_build_graph(args):
     _, fv, ft = load_prepared(args.prepared)
     graph, _, _ = build_item_graph(replace(cfg, prune_mode="none"), fv, ft)
     save_graph(args.out, graph)
-    _log(event="build_graph", nodes=graph.num_nodes, edges=graph.nnz, out=args.out)
-    return 0
+    return dict(event="build_graph", nodes=graph.num_nodes, edges=graph.nnz, out=args.out)
 
 
 def cmd_prune(args):
@@ -172,14 +169,13 @@ def cmd_prune(args):
     save_graph(args.out, pruned)
     if args.report:
         report.to_csv(args.report)
-    _log(
+    return dict(
         event="prune",
         k=args.k,
         kept=int(report.kept.sum()),
         dropped=int(report.dropped.sum()),
         out=args.out,
     )
-    return 0
 
 
 def cmd_corrupt(args):
@@ -191,8 +187,7 @@ def cmd_corrupt(args):
     noisy_src, noisy_dst, _ = noisy.to_edges()
     n = graph.num_nodes
     changed = len(np.setdiff1d(noisy_src * n + noisy_dst, src * n + dst))
-    _log(event="corrupt", eps=args.eps, rewired=changed, edges=graph.nnz, out=args.out)
-    return 0
+    return dict(event="corrupt", eps=args.eps, rewired=changed, edges=graph.nnz, out=args.out)
 
 
 def cmd_train(args):
@@ -204,15 +199,14 @@ def cmd_train(args):
         graph_path = os.path.abspath(args.graph)
     manifest = fit(cfg, table, fv, ft, na_graph=graph, out_dir=args.out,
                    prepared_dir=os.path.abspath(args.prepared), graph_path=graph_path)
-    _log(
+    _print_metrics("test", manifest.test_metrics)
+    return dict(
         event="train",
         epochs=len(manifest.epochs),
         best_epoch=manifest.best_epoch,
         best_val_r20=manifest.best_val_r20,
         out=args.out,
     )
-    _print_metrics("test", manifest.test_metrics)
-    return 0
 
 
 def cmd_evaluate(args):
@@ -248,9 +242,9 @@ def cmd_evaluate(args):
     out_base = args.out or os.path.join(args.run, f"metrics_{args.split}")
     write_metrics_csv(out_base + ".csv", metrics)
     write_metrics_json(out_base + ".json", metrics)
-    _log(event="evaluate", split=args.split, users=metrics["num_users"], out=out_base + ".csv")
     _print_metrics(args.split, metrics)
-    return 0
+    return dict(event="evaluate", split=args.split, users=metrics["num_users"],
+                out=out_base + ".csv")
 
 
 def cmd_ablate(args):
@@ -259,12 +253,11 @@ def cmd_ablate(args):
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     rows = ablate(cfg, variants, table, fv, ft, out_dir=args.out,
                   prepared_dir=os.path.abspath(args.prepared))
-    _log(event="ablate", variants=",".join(variants), out=args.out)
     cols = list(rows[0])[1:]
     print(f"{'variant':<12}" + "".join(f" {c:>9}" for c in cols))
     for row in rows:
         print(f"{row['variant']:<12}" + "".join(f" {row[c]:>9.4f}" for c in cols))
-    return 0
+    return dict(event="ablate", variants=",".join(variants), out=args.out)
 
 
 def build_parser():
@@ -341,9 +334,16 @@ def build_parser():
 
 
 def main(argv=None):
+    start = time.perf_counter()
     parser = build_parser()
     args = parser.parse_args(argv)
     python_format = warnings.formatwarning
+
+    def close(**kv):
+        # ru_maxrss is in KiB on Linux, and covers the process so far.
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        line = _line(**kv, seconds=f"{time.perf_counter() - start:.3f}", peak_rss_mb=f"{peak:.1f}")
+        print(line, file=sys.stderr)
 
     def one_line(message, category, *where, **line):
         # A shown ConfigWarning is one key=value line like the progress log.
@@ -353,9 +353,10 @@ def main(argv=None):
 
     warnings.formatwarning = one_line
     try:
-        return args.func(args)
+        close(**args.func(args))
+        return 0
     except (ValueError, OSError, TrainingAborted) as exc:
-        _log(event="error", command=args.command)
+        close(event="error", command=args.command)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

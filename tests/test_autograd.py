@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -367,10 +368,53 @@ def test_second_backward_through_a_freed_graph_raises():
     assert all(np.array_equal(leaf.grad, g) for leaf, g in zip(leaves, grads))
 
 
+def test_recorded_encoder_layer_holds_two_wide_arrays():
+    # The node keeps t and its output, not the normalised rows as well;
+    # the per-row mean and scale are 2 * rows values beside them.
+    rng = np.random.default_rng(62)
+    rows, cols = 2000, 256
+    x = Tensor(rng.standard_normal((rows, 48)).astype(np.float32))
+    w, b, gain, bias = (Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+                        for shape in ((48, cols), (1, cols), (1, cols), (1, cols)))
+    with ag.no_grad():
+        want = ag.encoder_layer(x, w, b, gain, bias).values
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        out = ag.encoder_layer(x, w, b, gain, bias)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    wide = rows * cols * 4
+    assert held < 2.1 * wide, f"holds {held / wide:.2f} (rows x cols) arrays"
+    assert out.requires_grad and np.array_equal(out.values, want)
+
+
+def test_backward_releases_an_output_before_the_nodes_beneath_it():
+    # mid's output is held by nothing but the sweep once its consumer's
+    # backward has run, so it is gone by the time the node beneath runs.
+    rng = np.random.default_rng(63)
+    x = _leaf(rng, 4, 3)
+    seen = []
+
+    def back(g):
+        seen.append(released())
+        return (g,)
+
+    beneath = ag._from_op(x.values * 2.0, (x,), back)
+    mid = ag.tanh(beneath)
+    released = lambda ref=weakref.ref(mid.values): ref() is None  # noqa: E731
+    loss = ag.tsum(mid)
+    del mid
+    loss.backward()
+    assert seen == [True]
+    assert np.allclose(x.grad, 1.0 - np.tanh(2.0 * x.values) ** 2)
+
+
 def test_fit_holds_one_step_graph_at_a_time():
-    # Each step's graph keeps three (items x hidden) arrays for the first
-    # encoder layer of each modality, six in all, and its backward adds a
-    # few more. A second step's graph alive beside them adds six again.
+    # Each step's graph keeps two (items x hidden) arrays for the first
+    # encoder layer of each modality, four in all, and its backward adds a
+    # few more. A second step's graph alive beside them adds four again.
     from toporec.config import TrainConfig
     from toporec.data import ROLE_TRAIN, make_split
     from toporec.synth import make_clustered_dataset

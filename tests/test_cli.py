@@ -1054,6 +1054,26 @@ def test_stderr_logging_is_key_value(pipeline, tmp_path, capsys):
     assert "users=20" in err
 
 
+@pytest.mark.parametrize("argv, code, fields", [
+    (["synth", "--out", "s", "--users", "20", "--items", "10", "--clusters", "2"], 0,
+     ["event=synth", "users=20", "items=10"]),
+    (["prune", "--graph", "missing.tmg", "--out", "pruned.tmg"], 1,
+     ["event=error", "command=prune"]),
+], ids=["done", "error"])
+def test_closing_event_line_ends_with_seconds_and_peak_rss(tmp_path, capsys, monkeypatch,
+                                                           argv, code, fields):
+    monkeypatch.chdir(tmp_path)
+    assert _run(argv) == code
+    closing = [line for line in capsys.readouterr().err.splitlines()
+               if line.startswith("event=")][-1].split(" ")
+    assert closing[:len(fields)] == fields
+    seconds, peak = closing[-2:]
+    assert seconds.startswith("seconds=") and peak.startswith("peak_rss_mb=")
+    assert 0.0 < float(seconds.split("=")[1]) < 600.0
+    # A process that imported numpy holds well over 10 MB.
+    assert float(peak.split("=")[1]) > 10.0
+
+
 @pytest.mark.parametrize("text", [
     "[DEFAULT]\nembed_dim = 0\n",
     "[DEFAULT]\nlr = 0.5\n[train]\nseed = 3\n",
