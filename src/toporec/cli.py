@@ -135,16 +135,9 @@ def cmd_prepare(args):
             table = make_split(table, ratios=ratios.split(","), seed=seed)
         except ValueError as exc:
             raise ValueError(f"--ratios {ratios}: {exc}") from None
-    fv = load_features(
-        _require(args.features_visual, "visual feature file", "synth"),
-        "visual",
-        table.num_items,
-    )
-    ft = load_features(
-        _require(args.features_textual, "textual feature file", "synth"),
-        "textual",
-        table.num_items,
-    )
+    paths = {tag: getattr(args, f"features_{tag}") for tag in ("visual", "textual")}
+    fv, ft = (load_features(_require(path, f"{tag} feature file", "synth"), tag, table.num_items)
+              for tag, path in paths.items())
     stats = save_prepared(args.out, table, fv, ft)
     print(
         f"users={stats['users']} items={stats['items']} "

@@ -465,10 +465,6 @@ def load_prepared(prepared_dir):
         edges=rows[:, :2].copy(),
         roles=rows[:, 2],
     )
-    fv = load_features(
-        os.path.join(prepared_dir, "features_visual.tmf"), "visual", table.num_items
-    )
-    ft = load_features(
-        os.path.join(prepared_dir, "features_textual.tmf"), "textual", table.num_items
-    )
+    fv, ft = (load_features(os.path.join(prepared_dir, f"features_{tag}.tmf"), tag, num_items)
+              for tag in ("visual", "textual"))
     return table, fv, ft

@@ -8,7 +8,11 @@ improvement. A validation pass also scores the `eval_topn` cutoffs; the
 best epoch's validation metrics and embeddings are kept, so the test
 pass scores them without a further forward pass. All randomness comes
 from named generator streams spawned off the run seed, so reruns with
-the same config are bit-identical.
+the same config are bit-identical. `fit` keeps a run's state in a
+`_Run`: its fixed inputs (config, table, features, `s_ui`, `s_iu`,
+positive graph) and what training changes (the six streams, the model's
+weights and Adam state, the `RunManifest` record, and `best`, the best
+validation's weights and embeddings).
 """
 
 from __future__ import annotations
@@ -205,24 +209,6 @@ def data_hash(table):
 _NAN_BATCH = "nan_batch.npz"  # the batch that made a run's loss non-finite
 
 
-def _dump_bad_batch(out_dir, epoch, step, batch, na_ids):
-    if not out_dir:
-        return ""
-    path = os.path.join(out_dir, _NAN_BATCH)
-    buf = io.BytesIO()
-    np.savez(
-        buf,
-        epoch=np.array([epoch]),
-        step=np.array([step]),
-        users=batch.users,
-        pos_items=batch.pos_items,
-        neg_items=batch.neg_items,
-        na_items=na_ids if na_ids is not None else np.zeros(0, dtype=np.int64),
-    )
-    write_file(path, buf.getbuffer())
-    return path
-
-
 def build_model(cfg, table, features):
     """The untrained model for this config and data, plus its inputs.
 
@@ -260,79 +246,72 @@ def _metric_keys(cfg):
     return [f"{name}@{n}" for name in ("recall", "ndcg") for n in dict.fromkeys(cfg.eval_topn)]
 
 
-def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=None,
-        prepared_dir="", graph_path=""):
-    """Train one model; returns the RunManifest (with .model attached).
+class _Run:
+    """One `fit` run: its fixed inputs and the state that training changes."""
 
-    na_graph is the item-item supervision graph, already pruned however
-    the caller wanted; it is required whenever na_weight > 0.
-    """
-    cfg = validate_config(cfg)
-    dtype = cfg.numpy_dtype()
-    if cfg.na_weight > 0 and na_graph is None:
-        raise ValueError("na_weight > 0 requires an item graph; pass `train --graph` the output "
-                         "of `toporec build-graph` and `toporec prune`")
-    if na_graph is not None and na_graph.num_nodes != table.num_items:
-        where = f" {graph_path}" if graph_path else ""
-        raise ValueError(f"item graph{where} has {na_graph.num_nodes} nodes, "
-                         f"but the interactions have {table.num_items} items")
+    def __init__(self, cfg, table, features, na_graph, out_dir, prepared_dir, graph_path):
+        cfg = validate_config(cfg)
+        dtype = cfg.numpy_dtype()
+        if cfg.na_weight > 0 and na_graph is None:
+            raise ValueError("na_weight > 0 requires an item graph; pass `train --graph` the "
+                             "output of `toporec build-graph` and `toporec prune`")
+        if na_graph is not None and na_graph.num_nodes != table.num_items:
+            where = f" {graph_path}" if graph_path else ""
+            raise ValueError(f"item graph{where} has {na_graph.num_nodes} nodes, "
+                             f"but the interactions have {table.num_items} items")
+        self.cfg = cfg
+        self.table = table
+        self.out_dir = out_dir
+        self.streams = rng_streams(cfg.seed)
+        self.model, self.features = build_model(cfg, table, features)
+        self.s_ui, self.s_iu = build_propagation_matrix(table, dtype)
 
-    streams = rng_streams(cfg.seed)
-    model, features = build_model(
-        cfg, table, {"visual": features_visual, "textual": features_textual}
-    )
-    s_ui, s_iu = build_propagation_matrix(table, dtype)
+        self.positive = positive_subgraph(na_graph, dtype) if cfg.na_weight > 0 else None
+        if self.positive is not None and self.positive.nnz == 0:
+            warnings.warn("supervision graph has no positive-weight edges; alignment disabled")
+            self.positive = None
 
-    positive = positive_subgraph(na_graph, dtype) if cfg.na_weight > 0 else None
-    if positive is not None and positive.nnz == 0:
-        warnings.warn("supervision graph has no positive-weight edges; alignment disabled")
-        positive = None
+        n_train = len(table.role_edges(ROLE_TRAIN))
+        self.steps = max(1, math.ceil(n_train / cfg.batch_size))
+        self.has_val = (table.roles == ROLE_VAL).any()
 
-    n_train = len(table.role_edges(ROLE_TRAIN))
-    steps_per_epoch = max(1, math.ceil(n_train / cfg.batch_size))
-    has_val = (table.roles == ROLE_VAL).any()
-    has_test = (table.roles == ROLE_TEST).any()
+        self.record = RunManifest(
+            config=cfg,
+            data_hash=data_hash(table),
+            feature_hashes={tag: _sha256(arr) for tag, arr in self.features.items()},
+            graph_hash="" if na_graph is None else _sha256(na_graph.indptr, na_graph.indices,
+                                                           na_graph.weights),
+            num_users=table.num_users,
+            num_items=table.num_items,
+            visual_dim=self.model.cfg.visual_dim,
+            textual_dim=self.model.cfg.textual_dim,
+            prepared_dir=prepared_dir,
+            graph_path=graph_path,
+        )
+        self.record.model = self.model
+        self.record.checkpoint_path = os.path.join(out_dir, "checkpoint.tmc") if out_dir else ""
+        self.best = None
+        if out_dir and os.path.exists(stale := os.path.join(out_dir, _NAN_BATCH)):
+            os.remove(stale)  # an earlier run's dump does not describe this one
 
-    run = RunManifest(
-        config=cfg,
-        data_hash=data_hash(table),
-        feature_hashes={tag: _sha256(arr) for tag, arr in features.items()},
-        graph_hash="" if na_graph is None else _sha256(na_graph.indptr, na_graph.indices,
-                                                       na_graph.weights),
-        num_users=table.num_users,
-        num_items=table.num_items,
-        visual_dim=model.cfg.visual_dim,
-        textual_dim=model.cfg.textual_dim,
-        prepared_dir=prepared_dir,
-        graph_path=graph_path,
-    )
-    run.model = model
-    run.checkpoint_path = os.path.join(out_dir, "checkpoint.tmc") if out_dir else ""
-    best_state = None
-    best_z = None
-    # A validation pass scores the reported cutoffs too, so the best
-    # epoch's metrics and embeddings are kept rather than recomputed.
-    val_cutoffs = tuple(cfg.eval_topn) + ((20,) if 20 not in cfg.eval_topn else ())
-    kept_keys = {"split", "num_users", *_metric_keys(cfg)}
-    if out_dir and os.path.exists(stale := os.path.join(out_dir, _NAN_BATCH)):
-        os.remove(stale)  # an earlier run's dump does not describe this one
-
-    for epoch in range(cfg.max_epochs):
+    def train_epoch(self, epoch):
+        """One epoch of steps; returns its mean BPR and alignment losses."""
+        cfg = self.cfg
         bpr_total = 0.0
         na_total = 0.0
-        for step in range(steps_per_epoch):
-            batch = sample_bpr_triples(table, cfg.batch_size, streams["negatives"])
-            h_items, branches = model.encode_items(features, streams["dropout"])
-            z_u, z_i = model.aggregate(h_items, s_ui, s_iu)
+        for step in range(self.steps):
+            batch = sample_bpr_triples(self.table, cfg.batch_size, self.streams["negatives"])
+            h_items, branches = self.model.encode_items(self.features, self.streams["dropout"])
+            z_u, z_i = self.model.aggregate(h_items, self.s_ui, self.s_iu)
             l_bpr = bpr_loss(z_u, z_i, batch)
             l_na = None
             na_ids = None
-            if positive is not None:
+            if self.positive is not None:
                 if cfg.na_anchor_mode == "independent":
-                    na = sample_na_batch(positive, streams["anchors"], cfg.batch_size)
+                    na = sample_na_batch(self.positive, self.streams["anchors"], cfg.batch_size)
                 else:
                     ids = np.unique(np.concatenate([batch.pos_items, batch.neg_items]))
-                    na = slice_na_batch(positive, ids, ids)
+                    na = slice_na_batch(self.positive, ids, ids)
                 na_ids, anchor_rows, na_weights = na
                 tags = sorted(branches) if cfg.na_on_modalities else []
                 for h in [h_items] + [branches[tag] for tag in tags]:
@@ -342,33 +321,64 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
                     l_na = term if l_na is None else ag.add(l_na, term)
             loss = joint_loss(l_bpr, l_na, cfg.na_weight)
             if not np.isfinite(loss.values).all():
-                dump = _dump_bad_batch(out_dir, epoch, step, batch, na_ids)
-                raise TrainingAborted(
-                    f"non-finite loss at epoch {epoch} step {step}"
-                    + (f"; offending batch dumped to {dump}" if dump else "")
-                )
+                self._abort(epoch, step, batch, na_ids)
             loss.backward()
-            adam_step(model.params, cfg.lr, weight_decay=cfg.l2_weight)
+            adam_step(self.model.params, cfg.lr, weight_decay=cfg.l2_weight)
             bpr_total += l_bpr.item()
             na_total += l_na.item() if l_na is not None else 0.0
+        return bpr_total / self.steps, na_total / self.steps
 
-        val = {}
-        if has_val and epoch % cfg.eval_stride == 0:
-            z_users, z_items = model.embeddings(features, s_ui, s_iu)
-            val = evaluate(z_users, z_items, table, "val", ns=val_cutoffs)
-            if run.best_epoch < 0 or val["recall@20"] > run.best_val_r20:
-                run.best_val_r20 = float(val["recall@20"])
-                run.best_epoch = epoch
-                best_state = model.params.state_arrays()
-                # Copies: with no LightGCN layer z_users is the user_embed
-                # array, which the optimizer updates in place.
-                best_z = (z_users.copy(), z_items.copy())
-                run.val_metrics = {k: v for k, v in val.items() if k in kept_keys}
+    def _abort(self, epoch, step, batch, na_ids):
+        message = f"non-finite loss at epoch {epoch} step {step}"
+        if self.out_dir:
+            buf = io.BytesIO()
+            np.savez(
+                buf,
+                epoch=np.array([epoch]),
+                step=np.array([step]),
+                users=batch.users,
+                pos_items=batch.pos_items,
+                neg_items=batch.neg_items,
+                na_items=na_ids if na_ids is not None else np.zeros(0, dtype=np.int64),
+            )
+            write_file(path := os.path.join(self.out_dir, _NAN_BATCH), buf.getbuffer())
+            message += f"; offending batch dumped to {path}"
+        raise TrainingAborted(message)
+
+    def validate(self, epoch):
+        """The val split's scores at the reported cutoffs and at 20 (a cutoff
+        given twice scores once); a new best keeps its weights and embeddings."""
+        z_users, z_items = self.model.embeddings(self.features, self.s_ui, self.s_iu)
+        val = evaluate(z_users, z_items, self.table, "val", ns=(*self.cfg.eval_topn, 20))
+        if self.record.best_epoch < 0 or val["recall@20"] > self.record.best_val_r20:
+            self.record.best_val_r20 = float(val["recall@20"])
+            self.record.best_epoch = epoch
+            # Copies: with no LightGCN layer z_users is the user_embed
+            # array, which the optimizer updates in place.
+            self.best = (self.model.params.state_arrays(), z_users.copy(), z_items.copy())
+            kept = {"split", "num_users", *_metric_keys(self.cfg)}
+            self.record.val_metrics = {k: v for k, v in val.items() if k in kept}
+        return val
+
+
+def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=None,
+        prepared_dir="", graph_path=""):
+    """Train one model; returns the RunManifest (with .model attached).
+
+    na_graph is the item-item supervision graph, already pruned however
+    the caller wanted; it is required whenever na_weight > 0.
+    """
+    state = _Run(cfg, table, {"visual": features_visual, "textual": features_textual},
+                 na_graph, out_dir, prepared_dir, graph_path)
+    run = state.record
+    for epoch in range(cfg.max_epochs):
+        loss_bpr, loss_na = state.train_epoch(epoch)
+        val = state.validate(epoch) if state.has_val and epoch % cfg.eval_stride == 0 else {}
         run.epochs.append(
             {
                 "epoch": epoch,
-                "loss_bpr": bpr_total / steps_per_epoch,
-                "loss_na": na_total / steps_per_epoch,
+                "loss_bpr": loss_bpr,
+                "loss_na": loss_na,
                 "val_r20": val.get("recall@20", math.nan),
                 "val_n20": val.get("ndcg@20", math.nan),
                 "best_val_r20": run.best_val_r20,
@@ -376,16 +386,16 @@ def fit(cfg, table, features_visual, features_textual, na_graph=None, out_dir=No
         )
         # Validations fall on the multiples of eval_stride from epoch 0, so
         # this counts the validations since the best one.
-        if has_val and (epoch - run.best_epoch) // cfg.eval_stride >= cfg.patience:
+        if state.has_val and (epoch - run.best_epoch) // cfg.eval_stride >= cfg.patience:
             break
 
-    if best_state is not None:
-        model.params.load_state(best_state)
-    if best_z is None:
-        # No validation split: score the final weights.
-        best_z = model.embeddings(features, s_ui, s_iu)
-    if has_test:
-        run.test_metrics = evaluate(*best_z, table, "test", ns=cfg.eval_topn)
+    model = state.model
+    if state.best is not None:
+        model.params.load_state(state.best[0])
+    # With no validation split, the test pass scores the final weights.
+    z = state.best[1:] if state.best else model.embeddings(state.features, state.s_ui, state.s_iu)
+    if (table.roles == ROLE_TEST).any():
+        run.test_metrics = evaluate(*z, table, "test", ns=cfg.eval_topn)
     if out_dir:
         save_checkpoint(run.checkpoint_path, model.params.state_arrays())
         run.save(out_dir)

@@ -73,6 +73,10 @@ def test_wins_count_the_better_side_and_not_ties(capsys, base):
     assert summary["metrics"]["eval_s"]["base_range"] == [2.0, 5.0]  # heap-bound on accept
     assert "base_range" not in summary["metrics"]["train_s"]
     assert any(line.startswith("train_s: 2.0 [2.0, 2.0] -> 1.5") for line in lines)
+    quoted = lines[-2]
+    assert quoted.startswith("accept seed 0, 5 pairs: setup_s 2.0 -> 1.5 (3/5), ")
+    assert "test_recall_20 2.0 -> 1.5 (1/5)" in quoted
+    assert quoted.endswith("; digests match; failed 0 -> 0")
 
 
 def test_a_digest_mismatch_and_more_failures_are_reported(capsys, base):
@@ -85,6 +89,7 @@ def test_a_digest_mismatch_and_more_failures_are_reported(capsys, base):
     assert not summary["digests_match"]
     assert summary["failed"] == {"base": 0, "change": 1} and summary["failed_rose"]
     assert "digests (5) match in every run: False" in lines
+    assert lines[-2].endswith("; digests DIFFER; failed 0 -> 1")
 
 
 def test_rejects_a_base_without_the_bench(capsys, tmp_path):

@@ -4,8 +4,10 @@ import hashlib
 import json
 import math
 import os
+import sys
 import warnings
 from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,6 +342,57 @@ def test_fit_builds_one_positive_view_per_run(monkeypatch):
         # One view, in the run's dtype, so no slice casts its weights.
         assert len(calls) == 1 and calls[0][0] is graph and calls[0][1] is np.float32, mode
         assert all(row["loss_na"] > 0.0 for row in manifest.epochs), mode
+
+
+def _bench_modules():
+    """bench/spans.py and bench/layers.py, imported as bench/test_bench.py does."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import layers
+    import spans
+
+    return spans, layers
+
+
+def test_bench_sees_each_step_and_validation_as_a_child_of_fit():
+    # bench/layers.py finds a step among the direct children of the
+    # `trainer.fit` span, from `sample_bpr_triples` to the next `adam_step`.
+    spans, layers = _bench_modules()
+    data = _tiny_data()
+    cfg = _tiny_config(max_epochs=2)
+    graph, _, _ = _quiet_graph(cfg, data)
+    recorder = spans.Recorder()
+    uninstall = spans.install(recorder)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConfigWarning)
+            trainer_module.fit(cfg, data.table, data.features_visual, data.features_textual,
+                               na_graph=graph)
+    finally:
+        uninstall()
+    recorded = recorder.spans
+    steps_per_epoch = math.ceil(len(data.table.role_edges(ROLE_TRAIN)) / cfg.batch_size)
+    assert steps_per_epoch > 1
+    steps, epochs, val_passes = layers.steps_and_epochs(recorded)
+    assert len(steps) == cfg.max_epochs * steps_per_epoch
+    assert len(epochs) == len(val_passes) == cfg.max_epochs
+
+    fit_span = next(i for i, s in enumerate(recorded) if s.name == "trainer.fit")
+    parts = {name for _, names in layers.STEP_PARTS for name in names}
+    # The evaluation forward encodes and aggregates too, outside any step.
+    forward = {i for i, s in enumerate(recorded) if s.name == "model.embeddings"}
+    seen = set()
+    for s in recorded:
+        if s.name in parts and s.parent not in forward:
+            seen.add(s.name)
+            assert s.parent == fit_span, s.name
+            assert any(lo <= s.start and s.end <= hi for _, lo, hi in steps), s.name
+    # fit draws its alignment batches through no function the bench wraps.
+    assert parts - {"model.build_na_batch", "model.na_batch_from_items"} <= seen
+    val = [s for s in recorded if s.name == "metrics.evaluate" and s.attrs["split"] == "val"]
+    assert len(val) == cfg.max_epochs
+    assert all(s.parent == fit_span for s in val)
 
 
 def test_fit_reruns_are_bit_identical(tmp_path):

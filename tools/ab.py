@@ -19,8 +19,10 @@ HEAP_BOUND it adds each side's min-max. A metric's `claim_met` says
 whether this tree won at least nine tenths of the pairs and beat the
 base's median by more than the base's interquartile range, the rule
 for claiming a gain. It says whether every run wrote
-the base's first digests and whether failures rose. The last line of
-standard output is one JSON object.
+the base's first digests and whether failures rose. The report ends
+with one line to quote: each metric's medians, base -> change, and the
+change's wins, then the digest match and both failure counts. The last
+line of standard output is one JSON object.
 """
 
 from __future__ import annotations
@@ -143,6 +145,11 @@ def report(summary):
         lines.append(line)
     lines.append(f"digests ({summary['digests']}) match in every run: {summary['digests_match']}")
     lines.append(f"failed: base {summary['failed']['base']}, change {summary['failed']['change']}")
+    cells = ", ".join(f"{name} {row['base'][0]} -> {row['change'][0]} ({row['wins']}/{n})"
+                      for name, row in summary["metrics"].items())
+    lines.append(f"{summary['workload']} seed {summary.get('seed')}, {n} pairs: {cells}; digests "
+                 f"{'match' if summary['digests_match'] else 'DIFFER'}; failed "
+                 f"{summary['failed']['base']} -> {summary['failed']['change']}")
     return lines
 
 
